@@ -4,7 +4,7 @@ principal series of Sp(4,R)."""
 from .exact import (Character, CScalar, ExactScalar, HalfInt,
                     MixedRadicalError, PoleError, binomial, gamma_half,
                     parse_scalar, pochhammer)
-from .laurent import LSeries1, LSeries2, TruncationError, binom_series, hyp2f1_series
+from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
 from .wigner import (EulerAngles, OutOfRange, WignerIndex, clebsch_gordan_j1,
                      jacobi_hyp, jacobi_sum, little_d, product_expand, wigner_D)
 from .sp4 import (GMat, cayley_check, chevalley, hc_omega2, hc_omega4,

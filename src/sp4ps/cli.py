@@ -325,14 +325,15 @@ def _cells_iwasawa(rng):
     return cells
 
 
+# (z, m) points of the inverse-Mellin quadrature check
+MELLIN_GRID = [(z, m) for z in (1.0, 1.5, 2.0, 2.5)
+               for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))]
+
+
 def _cells_mellin():
-    cells = []
-    for z in (1.0, 1.5, 2.0, 2.5):
-        for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-            def f(z=z, m=m):
-                return intertwine.mellin_numeric_check(z, m)
-            cells.append(("mellin-z=%s-m=%s" % (z, m), f))
-    return cells
+    def run(z, m):
+        return lambda: intertwine.mellin_numeric_check(z, m)
+    return [("mellin-z=%s-m=%s" % (z, m), run(z, m)) for z, m in MELLIN_GRID]
 
 
 def cmd_verify(args) -> int:
@@ -360,8 +361,7 @@ def cmd_verify(args) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for name, cells in suites:
             total += len(cells)
-            results = list(pool.map(lambda c: _run_cell(c), cells))
-            bad = [cells[i][0] for i, ok in enumerate(results) if not ok]
+            bad = [r for r in pool.map(lambda c: _run_cell(c), cells) if r is not None]
             failures += len(bad)
             status = "pass" if not bad else "FAIL(%s)" % ",".join(bad[:3])
             print("  %-12s %3d cells  %s" % (name, len(cells), status))
@@ -370,8 +370,13 @@ def cmd_verify(args) -> int:
 
 
 def _run_cell(cell):
-    _name, fn = cell
-    return bool(fn())
+    """None if the cell passes; else its name, with the exception's type and
+    message if it raised."""
+    name, fn = cell
+    try:
+        return None if fn() else name
+    except Exception as exc:
+        return "%s: %s: %s" % (name, type(exc).__name__, exc)
 
 
 def cmd_ktypes(args) -> int:
@@ -419,11 +424,10 @@ def cmd_compute(args) -> int:
 
 def cmd_mellin(args) -> int:
     ok = True
-    for z in (1.0, 1.5, 2.0, 2.5):
-        for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-            good = intertwine.mellin_numeric_check(z, m)
-            ok = ok and good
-            print("z=%-4s m=%-4s %s" % (z, m, "ok" if good else "FAIL"))
+    for z, m in MELLIN_GRID:
+        good = intertwine.mellin_numeric_check(z, m)
+        ok = ok and good
+        print("z=%-4s m=%-4s %s" % (z, m, "ok" if good else "FAIL"))
     return 0 if ok else 1
 
 

@@ -9,7 +9,8 @@ with q rational, r a positive squarefree integer, p an integer and k in
 {0,1} (the sign of q supplies the other half of the 4-cycle of i-powers).
 ``ExactScalar`` closes this set under multiplication; addition is only
 defined when the radical parts agree, and a mismatch raises instead of
-coercing.  The complex floating-point fallback is plain ``complex``.
+coercing.  The complex floating-point fallback is plain ``complex``; an
+exact constant enters a float computation only through ``lift``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,18 @@ CScalar = complex
 
 
 def require_finite(z: complex) -> complex:
-    """Reject NaN/Inf results on the float path."""
+    """Reject NaN/Inf results on the float path: a Gamma evaluated at its
+    pole, so a PoleError like its exact counterpart."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ArithmeticError("non-finite value on float path: %r" % (z,))
+        raise PoleError("non-finite value on float path: %r" % (complex(z),))
     return z
+
+
+def lift(c, like):
+    """The exact constant ``c`` in the arithmetic of ``like``: ``c`` itself
+    beside an exact value, ``complex`` beside a float one.  This is where
+    every float path meets the exact constants of its formula."""
+    return c.to_complex() if isinstance(like, (float, complex)) else c
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +204,9 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return self.q == 0
+
+    def __bool__(self):
+        return self.q != 0
 
     def is_rational(self) -> bool:
         return self.r == 1 and self.p == 0 and not self.im
@@ -398,16 +410,6 @@ def gamma_half(a) -> ExactScalar:
         q /= t
         t += 1
     return ExactScalar(q, 1, 1)
-
-
-def gamma_pole_order(a) -> int:
-    """1 if Gamma has a pole at a (nonpositive integer), else 0."""
-    if isinstance(a, HalfInt):
-        a = a.frac
-    if _is_exact_number(a) or isinstance(a, Fraction):
-        a = Fraction(a)
-        return 1 if (a.denominator == 1 and a <= 0) else 0
-    return 0
 
 
 def binomial(n, k: int):

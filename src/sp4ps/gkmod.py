@@ -11,9 +11,11 @@ published coefficient tables are corrected here; the convention is pinned
 by the numeric principal-series oracle in the test suite and by the
 requirement that the degree-2 Casimir act by (lambda1^2+lambda2^2-5)/12.
 
-Coefficients on the exact path are finite rational combinations of the
-radical basis sqrt(r)*pi^(p/2)*i^k (class ``RSum``); the float path uses
-plain complex numbers.
+Coefficients are finite rational combinations of the radical basis
+sqrt(r)*pi^(p/2)*i^k (class ``RSum``) at rational lambda and complex
+numbers at complex lambda.  Both come from one formula: its exact factors
+(Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
+where they meet a complex lambda, through ``exact.lift``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Character, ExactScalar, HalfInt, half_range
+from .exact import Character, ExactScalar, HalfInt, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
@@ -271,56 +273,47 @@ _I_OVER_SQRT2 = ExactScalar(Fraction(1, 2), 2, 0, True)   # i/sqrt2
 _I = ExactScalar.i_power(1)
 
 
-def _dr_terms_exact(beta: NoncompactLabel, j, n, m2, lam):
-    """The three dr(u_nu) contributions as (m_nu, coefficient, m2 shift)."""
+def _dr_terms(beta: NoncompactLabel, j, n, m2, lam):
+    """The three dr(u_nu) contributions as (m_nu, exact factor, affine
+    factor, m2 shift).  The i/sqrt2 and ladder factors do not depend on
+    lambda and stay exact; the affine factor is a Fraction at rational
+    lambda and complex at complex lambda."""
     l1, l2 = lam
     nf, m2f = n.frac, m2.frac
     if beta.n_beta == 1:
         lad = (j - m2).frac * (j + m2 + 1).frac
         return [
-            (-1, _I_OVER_SQRT2 * (-nf + m2f - (l2 + 1)), 0),
-            (1, _I_OVER_SQRT2 * (-nf - m2f - (l1 + 2)), 0),
-            (0, -_I * ExactScalar.sqrt_rational(lad), 1),
+            (-1, _I_OVER_SQRT2, -nf + m2f - (l2 + 1), 0),
+            (1, _I_OVER_SQRT2, -nf - m2f - (l1 + 2), 0),
+            (0, -_I * ExactScalar.sqrt_rational(lad), 1, 1),
         ]
     lad = (j + m2).frac * (j - m2 + 1).frac
     return [
-        (1, _I_OVER_SQRT2 * (nf - m2f - (l2 + 1)), 0),
-        (-1, _I_OVER_SQRT2 * (nf + m2f - (l1 + 2)), 0),
-        (0, -_I * ExactScalar.sqrt_rational(lad), -1),
+        (1, _I_OVER_SQRT2, nf - m2f - (l2 + 1), 0),
+        (-1, _I_OVER_SQRT2, nf + m2f - (l1 + 2), 0),
+        (0, -_I * ExactScalar.sqrt_rational(lad), 1, -1),
     ]
+
+
+def _field(chi: Character):
+    """lambda and the coefficient constructor of chi's arithmetic: Fractions
+    and RSum when chi is exact, complex numbers for both otherwise."""
+    if chi.is_exact():
+        return chi.lam_frac, RSum.of
+    return tuple(complex(x) for x in chi.lam), complex
 
 
 def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     """Right action dr(u_beta): diagonal for the +-b2 and +-(2b1+b2)
     families, an m2-ladder for +-(b1+b2)."""
     beta = NoncompactLabel.of(beta)
-    if chi.is_exact():
-        out = {}
-        for m_nu, coef, shift in _dr_terms_exact(beta, v.j, v.n, v.m2, chi.lam_frac):
-            if m_nu != beta.m_beta:
-                continue
-            if coef.is_zero():
-                continue
-            tgt = WignerIndex.of(v.j, v.n, v.m1, v.m2 + shift) if abs((v.m2 + shift).twice) <= v.j.twice else None
-            if tgt is not None:
-                out[tgt] = RSum.of(coef)
-        return out
-    l1, l2 = chi.lam
-    j, n, m2 = float(v.j), float(v.n), float(v.m2)
+    lam, coef_of = _field(chi)
     out = {}
-    if beta.m_beta != 0:
-        s = beta.n_beta
-        if (beta.m_beta, beta.n_beta) in ((-1, 1), (1, -1)):      # +-b2
-            coef = 1j / math.sqrt(2) * (-s * n + s * m2 - (l2 + 1))
-        else:                                                      # +-(2b1+b2)
-            coef = 1j / math.sqrt(2) * (-s * n - s * m2 - (l1 + 2))
-        out[v] = coef
-        return out
-    s = beta.n_beta
-    lad = (j - s * m2) * (j + s * m2 + 1)
-    if lad > 0:
-        tgt = WignerIndex.of(v.j, v.n, v.m1, v.m2 + s)
-        out[tgt] = -1j * math.sqrt(lad)
+    for m_nu, factor, affine, shift in _dr_terms(beta, v.j, v.n, v.m2, lam):
+        m2p = v.m2 + shift
+        coef = lift(factor, lam[0]) * affine
+        if m_nu == beta.m_beta and coef and abs(m2p.twice) <= v.j.twice:
+            out[WignerIndex.of(v.j, v.n, v.m1, m2p)] = coef_of(coef)
     return out
 
 
@@ -335,46 +328,12 @@ def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 @lru_cache(maxsize=None)
 def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: bool) -> dict:
     j, n, m1, m2 = v.j, v.n, v.m1, v.m2
-    nb = beta.n_beta
+    lam, coef_of = _field(chi)
     out = {}
-    if chi.is_exact():
-        terms = _dr_terms_exact(beta, j, n, m2, chi.lam_frac)
-        for m_nu, coef, shift in terms:
-            if coef.is_zero():
-                continue
-            m2p = m2 + shift
-            if abs(m2p.twice) > j.twice:
-                continue
-            for j0 in (-1, 0, 1):
-                jt = j + j0
-                if jt.twice < 0 or (j.twice == 0 and j0 != 1):
-                    continue
-                tm1, tm2 = m1 + beta.m_beta, m2p + m_nu
-                if abs(tm1.twice) > jt.twice or abs(tm2.twice) > jt.twice:
-                    continue
-                c = _cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)
-                if c.is_zero():
-                    continue
-                coeff = RSum.of(-(c * coef))
-                tgt = WignerIndex.of(jt, n + nb, tm1, tm2)
-                out = lc_add(out, {tgt: coeff})
-        return out
-    # float path
-    l1, l2 = chi.lam
-    jf, nf, m2f = float(j), float(n), float(m2)
-    if nb == 1:
-        terms = [(-1, 1j / math.sqrt(2) * (-nf + m2f - (l2 + 1)), 0),
-                 (1, 1j / math.sqrt(2) * (-nf - m2f - (l1 + 2)), 0),
-                 (0, -1j * math.sqrt(max((jf - m2f) * (jf + m2f + 1), 0.0)), 1)]
-    else:
-        terms = [(1, 1j / math.sqrt(2) * (nf - m2f - (l2 + 1)), 0),
-                 (-1, 1j / math.sqrt(2) * (nf + m2f - (l1 + 2)), 0),
-                 (0, -1j * math.sqrt(max((jf + m2f) * (jf - m2f + 1), 0.0)), -1)]
-    for m_nu, coef, shift in terms:
-        if coef == 0:
-            continue
+    for m_nu, factor, affine, shift in _dr_terms(beta, j, n, m2, lam):
         m2p = m2 + shift
-        if abs(m2p.twice) > j.twice:
+        coef = -lift(factor, lam[0]) * affine
+        if not coef or abs(m2p.twice) > j.twice:
             continue
         for j0 in (-1, 0, 1):
             jt = j + j0
@@ -383,11 +342,10 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: 
             tm1, tm2 = m1 + beta.m_beta, m2p + m_nu
             if abs(tm1.twice) > jt.twice or abs(tm2.twice) > jt.twice:
                 continue
-            c = (_cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)).to_complex()
-            if c == 0:
-                continue
-            tgt = WignerIndex.of(jt, n + nb, tm1, tm2)
-            out = lc_add(out, {tgt: -(c * coef)})
+            c = _cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)
+            if c:
+                tgt = WignerIndex.of(jt, n + beta.n_beta, tm1, tm2)
+                out = lc_add(out, {tgt: coef_of(lift(c, coef) * coef)})
     return out
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (Character, ExactScalar, HalfInt, PoleError, binomial,
-                    gamma_half, half_range, pochhammer)
+                    gamma_half, half_range, lift, pochhammer, require_finite)
 from .gkmod import m_set
 from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
 from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
@@ -55,21 +55,17 @@ class BlockMatrix:
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.col_index != other.row_index:
             raise ValueError("index mismatch in block product")
-        exact = isinstance(self.entries[0][0], ExactScalar) if self.entries else True
         rows = []
-        for i in range(len(self.row_index)):
-            row = []
+        for row in self.entries:
+            out = []
             for k in range(len(other.col_index)):
-                acc = ExactScalar(0) if exact else 0j
-                for l in range(len(self.col_index)):
-                    a, b = self.entries[i][l], other.entries[l][k]
-                    if exact:
-                        if not (a.is_zero() or b.is_zero()):
-                            acc = acc + a * b
-                    else:
+                acc = _zero_like(row[0])
+                for a, brow in zip(row, other.entries):
+                    b = brow[k]
+                    if a and b:
                         acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+                out.append(acc)
+            rows.append(out)
         return BlockMatrix(self.ktype, list(self.row_index), list(other.col_index), rows)
 
     def is_identity(self) -> bool:
@@ -150,29 +146,40 @@ def q_factor(z, nu):
 
 
 def q_ratio(z, m):
-    """Q(z,m)/Q(z,0) = Gamma(z)^2/(Gamma(z+m)Gamma(z-m)).
+    """Q(z,m)/Q(z,0) = Gamma(z)^2/(Gamma(z+m)Gamma(z-m)) = 1/((z)^(m) (z)^(-m)),
+    also the Pochhammer pair of t_norm and the generating function.
 
-    Integer m: the rational function (z-|m|)^{(|m|)}/(z)^{(|m|)}, exact at
-    any rational z.  Half-odd m (half-integer-spin blocks) needs a
-    half-integer z and routes through exact Gammas.
+    Integer m: the rational function (z-|m|)^(|m|)/(z)^(|m|), exact at
+    rational z and complex at complex z; a vanishing (z)^(|m|) is a pole.
+    Half-odd m (half-integer-spin blocks, delta=(1,1) exponents): exact
+    Gammas at half-integer z, scipy Gammas at complex z.  A pole of Gamma(z)
+    raises PoleError on the exact path and gives a non-finite value on the
+    float path.
     """
     m = HalfInt.of(m)
-    if not m.is_integer():
-        mf = abs(m.frac)
-        z = Fraction(z)
-        if (2 * z).denominator != 1:
-            raise PoleError("half-integer-spin block needs half-integer z, got %s" % z)
-        val, order = _gamma_meromorphic(
-            [(HalfInt.of(z), 1), (HalfInt.of(z), 1)],
-            [(HalfInt.of(z + mf), 1), (HalfInt.of(z - mf), 1)])
-        if order > 0:
-            raise PoleError("q_ratio(%s,%s) pole" % (z, m))
-        return ExactScalar(0) if order < 0 else val
-    k = abs(m.as_int())
-    den = pochhammer(Fraction(z), k)
-    if den == 0:
-        raise PoleError("q_ratio pole: (z)^(%d) vanishes at z=%s" % (k, z))
-    return ExactScalar.of(pochhammer(Fraction(z) - k, k) / den)
+    exact = isinstance(z, (int, Fraction))
+    z = Fraction(z) if exact else complex(z)
+    if m.is_integer():
+        k = abs(m.as_int())
+        den = pochhammer(z, k)
+        if den == 0:
+            raise PoleError("Pochhammer pair pole: (%s)^(%d) = 0" % (z, k))
+        val = pochhammer(z - k, k) / den
+        return ExactScalar.of(val) if exact else val
+    mf = abs(m.frac)
+    if not exact:
+        # 1/Gamma is entire: a denominator pole gives 0, as on the exact path
+        from scipy.special import gamma, rgamma
+        return gamma(z) ** 2 * rgamma(z + float(mf)) * rgamma(z - float(mf))
+    if (2 * z).denominator != 1:
+        raise PoleError("half-odd Pochhammer pair exponent %s needs a "
+                        "half-integer argument, got %s" % (m, z))
+    val, order = _gamma_meromorphic(
+        [(HalfInt.of(z), 1), (HalfInt.of(z), 1)],
+        [(HalfInt.of(z + mf), 1), (HalfInt.of(z - mf), 1)])
+    if order > 0:
+        raise PoleError("Pochhammer pair pole at %s" % z)
+    return ExactScalar(0) if order < 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -226,57 +233,27 @@ def m_entry_genfun(j, m3, m4) -> ExactScalar:
 # S entries
 # ---------------------------------------------------------------------------
 
-def s_entry_sum(j, n, m3, m2, z):
-    """S^{j,n}_{m3,m2}(z) = sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} Q(z,m4)."""
+def _s_sum(j, m3, m2, z, factor):
+    """sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} factor(z, m4)."""
     j, m3, m2 = HalfInt.of(j), HalfInt.of(m3), HalfInt.of(m2)
     M, N = mn_matrices(j)
-    exact = isinstance(z, (int, Fraction))
-    total = ExactScalar(0) if exact else 0j
+    total = _zero_like(z)
     for m4 in half_range(-j, j):
-        a = M.get(m3, m4)
-        b = N.get(m4, m2)
-        if a.is_zero() or b.is_zero():
-            continue
-        ph = ExactScalar.i_power(-m4.twice)
-        if exact:
-            total = total + ph * a * b * q_factor(z, m4)
-        else:
-            total = total + ph.to_complex() * a.to_complex() * b.to_complex() * q_factor(z, float(m4))
+        c = M.get(m3, m4) * N.get(m4, m2)
+        if c:
+            total = total + lift(ExactScalar.i_power(-m4.twice) * c, z) * factor(z, m4)
     return total
+
+
+def s_entry_sum(j, n, m3, m2, z):
+    """S^{j,n}_{m3,m2}(z) = sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} Q(z,m4)."""
+    return _s_sum(j, m3, m2, z, q_factor)
 
 
 def s_norm(j, n, m3, m2, z):
-    """Normalized entry script-S = S / S^{(0,n)}_{0,0}: exact at any
-    rational z for integer-spin blocks."""
-    j, m3, m2 = HalfInt.of(j), HalfInt.of(m3), HalfInt.of(m2)
-    M, N = mn_matrices(j)
-    exact = isinstance(z, (int, Fraction))
-    total = ExactScalar(0) if exact else 0j
-    for m4 in half_range(-j, j):
-        a = M.get(m3, m4)
-        b = N.get(m4, m2)
-        if a.is_zero() or b.is_zero():
-            continue
-        ph = ExactScalar.i_power(-m4.twice)
-        if exact:
-            total = total + ph * a * b * q_ratio(z, m4)
-        else:
-            total = total + ph.to_complex() * a.to_complex() * b.to_complex() * _q_ratio_float(z, float(m4))
-    return total
-
-
-def _q_ratio_float(z, m):
-    k = abs(int(round(m)))
-    num = den = 1.0 + 0j
-    for i in range(k):
-        num *= z - k + i
-        den *= z + i
-    return num / den
-
-
-def _i_int_power(k: HalfInt) -> ExactScalar:
-    """i^k for an integer-valued half-integer k."""
-    return ExactScalar.i_power(k.as_int())
+    """Normalized entry script-S = S / S^{(0,n)}_{0,0}: Q replaced by the
+    ratio Q(z,m4)/Q(z,0); exact at any rational z for integer-spin blocks."""
+    return _s_sum(j, m3, m2, z, q_ratio)
 
 
 def t_norm(n, m, z):
@@ -285,37 +262,8 @@ def t_norm(n, m, z):
     diff = m - n
     if not diff.is_integer():
         raise ValueError("t_norm needs m-n integral, got %s" % diff)
-    e = Fraction(diff.as_int(), 2)
-    ph = _i_int_power(diff)
-    if isinstance(z, (int, Fraction)):
-        return ph * _poch_pair_exact(Fraction(z), e)
-    from scipy.special import gamma as cgamma
-    zc = complex(z)
-    ef = float(e)
-    return (1j) ** diff.as_int() * cgamma(zc) ** 2 / (cgamma(zc + ef) * cgamma(zc - ef))
-
-
-def _poch_pair_exact(z: Fraction, e: Fraction) -> ExactScalar:
-    """1/((z)^{(e)} (z)^{(-e)}) = Gamma(z)^2/(Gamma(z+e)Gamma(z-e)).
-
-    Integer e: rational at any rational z.  Half-odd e: exact only at
-    half-integer z (through half-integer Gammas)."""
-    if e.denominator == 1:
-        k = abs(int(e))
-        den = pochhammer(z, k)
-        if den == 0:
-            raise PoleError("Pochhammer pair pole: (%s)^(%d) = 0" % (z, k))
-        return ExactScalar.of(pochhammer(z - k, k) / den)
-    if (2 * z).denominator != 1:
-        raise PoleError("half-odd Pochhammer pair exponent %s needs a "
-                        "half-integer argument, got %s" % (e, z))
-    ea = abs(e)
-    val, order = _gamma_meromorphic(
-        [(HalfInt.of(z), 1), (HalfInt.of(z), 1)],
-        [(HalfInt.of(z + ea), 1), (HalfInt.of(z - ea), 1)])
-    if order > 0:
-        raise PoleError("Pochhammer pair pole at %s" % z)
-    return ExactScalar(0) if order < 0 else val
+    d = diff.as_int()
+    return lift(ExactScalar.i_power(d), z) * q_ratio(z, Fraction(d, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +436,15 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
             ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
         else:
             raise ValueError("simple_operator kind must be one of A1..A4")
+        if not isinstance(z, (int, Fraction)):
+            ent = [[require_finite(e) for e in row] for row in ent]
     except PoleError as exc:
         raise PoleError("stage %s (argument %s): %s" % (kind, z, exc)) from exc
     return BlockMatrix((j, n), rows, cols, ent)
 
 
-def _zero_like(z):
-    return ExactScalar(0) if isinstance(z, (int, Fraction)) else 0j
+def _zero_like(x):
+    return lift(ExactScalar(0), x)
 
 
 def long_operator_product(ktype, chi: Character) -> BlockMatrix:
@@ -537,7 +487,7 @@ def genfun_entry_raw(j, n, delta, m1, m2, lam, order=None) -> ExactScalar:
                        Fraction(-2 * jj), 1, order, var="t2")
 
     # entry = const * sum_p [jet factors] * [Gamma-route factors]
-    tpair = _poch_pair_exact((l2 + 1) / 2, Fraction(b - nn, 2))
+    tpair = q_ratio((l2 + 1) / 2, Fraction(b - nn, 2))
     const = (ExactScalar(Fraction(math.factorial(2 * jj)) ** 2, 1, -2)
              / (c_factor(j, m1) * c_factor(j, m2)))
     # i^{-n+j-2p-eps} = i^{j-n-eps} * (-1)^p: a fixed phase times a sign
@@ -572,7 +522,7 @@ def genfun_entry_raw(j, n, delta, m1, m2, lam, order=None) -> ExactScalar:
             jetpart = jetpart * (_jet_poch(base, k) * _jet_poch(base, -k)).inverse()
             exactpart = gam
         else:
-            exactpart = gam * _poch_pair_exact((l1 + 1) / 2, pair_e)
+            exactpart = gam * q_ratio((l1 + 1) / 2, pair_e)
         jetpart = jetpart * _jet_poch((l1j - l2) * half, e_dm) * _jet_poch((l1j + l2) * half, e_dp)
         key = (exactpart.r, exactpart.p, exactpart.im)
         prev = buckets.get(key)
@@ -715,7 +665,7 @@ def mellin_numeric_check(z: float, m, rel_tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 def _scalar_str(x) -> str:
-    return str(x) if isinstance(x, ExactScalar) else repr(x)
+    return str(x) if isinstance(x, ExactScalar) else repr(complex(x))
 
 
 def _scalar_parse(s: str):

@@ -7,9 +7,9 @@ caller can re-expand; reading below ``min_exp`` returns a known zero.
 
 Coefficients are generic: Fraction, ExactScalar, complex, or another
 LSeries1 (series-in-epsilon coefficients are how removable singularities in
-the spectral parameter are evaluated).  Two-variable objects stay in
-factored "sum of separable terms" form; a full bivariate product is never
-materialized.
+the spectral parameter are evaluated).  There is no two-variable series:
+the long operator's generating function is summed as separable terms, each
+a product of one-variable coefficients (``intertwine._ct_at``).
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ class LSeries1:
         self.min_exp = min_exp
         self.coeffs = list(coeffs)
         self.trunc = trunc
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def const(var: str, value, trunc: int) -> "LSeries1":
-        return LSeries1(var, 0, [value], trunc)
-
-    @staticmethod
-    def x(var: str, trunc: int) -> "LSeries1":
-        return LSeries1(var, 1, [1], trunc)
-
-    @staticmethod
-    def zero(var: str, trunc: int) -> "LSeries1":
-        return LSeries1(var, 0, [0], trunc)
 
     # -- access ----------------------------------------------------------
 
@@ -200,39 +186,12 @@ class LSeries1:
             k >>= 1
         return out if out is not None else LSeries1(self.var, 0, [1], self.trunc)
 
-    def truncate(self, t: int) -> "LSeries1":
-        if t >= self.trunc:
-            return self
-        keep = max(0, t - self.min_exp + 1)
-        return LSeries1(self.var, self.min_exp, self.coeffs[:keep] or [0], t)
-
     def __repr__(self):
         bits = []
         for i, c in enumerate(self.coeffs):
             if not _is_zero(c):
                 bits.append("(%s)%s^%d" % (c, self.var, self.min_exp + i))
         return " + ".join(bits or ["0"]) + " + O(%s^%d)" % (self.var, self.trunc + 1)
-
-
-class LSeries2:
-    """Finite sum of separable terms  coef * f(t1) * g(t2)."""
-
-    def __init__(self, terms=None):
-        self.terms = list(terms or [])
-
-    def add_term(self, coef, s1: LSeries1, s2: LSeries1):
-        self.terms.append((coef, s1, s2))
-
-    def constant_term(self):
-        total = 0
-        for coef, s1, s2 in self.terms:
-            c1 = s1.coeff(0)
-            c2 = s2.coeff(0)
-            if _is_zero(coef) or _is_zero(c1) or _is_zero(c2):
-                continue
-            t = coef * c1 * c2
-            total = t if (isinstance(total, int) and total == 0) else total + t
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +233,6 @@ def hyp2f1_series(a, b, c, scale=1, order: int = 0, var: str = "t") -> LSeries1:
             raise PoleError("2F1 denominator (%s)+%d vanishes before termination" % (c, k))
         term = term * num / den * scale / (k + 1)
     return LSeries1(var, 0, coeffs, order)
-
-
-def constant_term_1(s: LSeries1):
-    return s.coeff(0)
-
-
-def constant_term_2(s: LSeries2):
-    return s.constant_term()
 
 
 # ---------------------------------------------------------------------------

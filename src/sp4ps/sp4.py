@@ -270,13 +270,6 @@ def u2_generators() -> tuple[GMat, GMat, GMat, GMat]:
     return u0, u1, u2, u3
 
 
-def k4_to_u2_complex(k: GMat):
-    """K = [[A,B],[-B,A]] -> A + iB as a numpy 2x2 (float path helper)."""
-    import numpy as np
-    m = k.to_numpy()
-    return m[:2, :2] + 1j * m[:2, 2:]
-
-
 # noncompact root vectors v_beta of (p_C), and the normalized u_beta
 def v_beta(m_beta: int, n_beta: int) -> GMat:
     """v for the noncompact root with weight (m_beta, n_beta)."""

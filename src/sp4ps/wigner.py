@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (ExactScalar, HalfInt, PoleError, binomial, half_range,
-                    hyp_terminating, pochhammer)
+                    hyp_terminating, lift, pochhammer)
 
 
 class OutOfRange(ValueError):
@@ -131,50 +131,36 @@ def little_d(j, m1, m2, theta):
     lo = max(0, (m1 - m2).as_int())
     hi = min((j - m2).as_int(), (j + m1).as_int())
     if isinstance(theta, (int, Fraction)):
-        s = sin_pi(Fraction(theta) / 2)
-        c = cos_pi(Fraction(theta) / 2)
-        total = ExactScalar(0)
-        for p in range(lo, hi + 1):
-            a = (m2 - m1).as_int() + 2 * p
-            b = (j + j).as_int() + (m1 - m2).as_int() - 2 * p
-            num = Fraction((-1) ** ((m2 - m1).as_int() + p),
-                           math.factorial((j + m1).as_int() - p) * math.factorial(p)
-                           * math.factorial((m2 - m1).as_int() + p)
-                           * math.factorial((j - m2).as_int() - p))
-            sa = ExactScalar(1) if a == 0 else (ExactScalar(0) if s.is_zero() else s ** a)
-            cb = ExactScalar(1) if b == 0 else (ExactScalar(0) if c.is_zero() else c ** b)
-            if sa.is_zero() or cb.is_zero():
-                continue
-            total = total + num * sa * cb
-        return total
-    th = float(theta)
-    s, c = math.sin(th / 2), math.cos(th / 2)
-    total = 0.0
+        s, c = sin_pi(Fraction(theta) / 2), cos_pi(Fraction(theta) / 2)
+    else:
+        s, c = math.sin(float(theta) / 2), math.cos(float(theta) / 2)
+    total = 0 * s           # the zero of s's arithmetic: exact or float
     for p in range(lo, hi + 1):
         a = (m2 - m1).as_int() + 2 * p
         b = (j + j).as_int() + (m1 - m2).as_int() - 2 * p
-        num = (-1) ** ((m2 - m1).as_int() + p) / (
-            math.factorial((j + m1).as_int() - p) * math.factorial(p)
-            * math.factorial((m2 - m1).as_int() + p) * math.factorial((j - m2).as_int() - p))
-        total += num * s ** a * c ** b
+        num = Fraction((-1) ** ((m2 - m1).as_int() + p),
+                       math.factorial((j + m1).as_int() - p) * math.factorial(p)
+                       * math.factorial((m2 - m1).as_int() + p)
+                       * math.factorial((j - m2).as_int() - p))
+        total = total + num * s ** a * c ** b
     return total
 
 
 def wigner_D(idx: WignerIndex, angles: EulerAngles):
     """Full Wigner D-function; ExactScalar at quarter-turn angles, complex
     on the float path."""
+    phase = None
     if angles.is_exact():
         theta = Fraction(angles.theta)
         c = idx.n.frac * Fraction(angles.zeta) + idx.m1.frac * Fraction(angles.psi) \
             + idx.m2.frac * Fraction(angles.phi)
-        if (2 * c).denominator == 1 and (Fraction(theta) / 2) * 4 % 1 == 0:
-            ph = phase_i(c)
-            d = little_d(idx.j, idx.m1, idx.m2, theta)
-            return c_factor(idx.j, idx.m1) * c_factor(idx.j, idx.m2) * ph * d
-    z, psi, th, ph = angles.radians()
-    d = little_d(idx.j, idx.m1, idx.m2, th)
-    return (c_factor(idx.j, idx.m1).to_complex() * c_factor(idx.j, idx.m2).to_complex()
-            * cmath.exp(1j * (float(idx.n) * z + float(idx.m1) * psi + float(idx.m2) * ph)) * d)
+        if (2 * c).denominator == 1 and (theta / 2) * 4 % 1 == 0:
+            phase = phase_i(c)
+    if phase is None:
+        z, psi, theta, ph = angles.radians()
+        phase = cmath.exp(1j * (float(idx.n) * z + float(idx.m1) * psi + float(idx.m2) * ph))
+    cc = c_factor(idx.j, idx.m1) * c_factor(idx.j, idx.m2)
+    return lift(cc, phase) * phase * little_d(idx.j, idx.m1, idx.m2, theta)
 
 
 # ---------------------------------------------------------------------------

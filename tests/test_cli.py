@@ -1,10 +1,16 @@
+import cmath
+import hashlib
 import json
 import os
+import re
+from fractions import Fraction as F
 
 import pytest
 
-from sp4ps.cli import main
-from sp4ps.intertwine import block_from_json
+from sp4ps import intertwine
+from sp4ps.cli import MELLIN_GRID, main
+from sp4ps.gkmod import NONCOMPACT, action_matrix_json
+from sp4ps.intertwine import KINDS, block_from_json
 
 
 def test_ktypes_table(capsys):
@@ -60,10 +66,95 @@ def test_mellin_command():
 
 
 def test_complex_lambda_float_path(tmp_path):
-    out = str(tmp_path / "c")
-    rc = main(["compute", "--kind", "A1", "--delta", "0,0", "--lambda", "2.5+0.25i,1.5+0i",
+    # LONG at delta=(1,1) has half-odd t_norm exponents, whose scipy
+    # Gammas return numpy scalars: they too must be written as complex
+    for kind, delta in (("A1", "0,0"), ("LONG", "1,1")):
+        out = str(tmp_path / kind)
+        rc = main(["compute", "--kind", kind, "--delta", delta, "--lambda", "2.5+0.25i,1.5+0i",
+                   "--jmax", "1", "--nmax", "1", "--out", out])
+        assert rc == 0
+        for name in sorted(os.listdir(out)):
+            text = open(os.path.join(out, name)).read()
+            bm, _doc = block_from_json(text)
+            assert all(type(e) is complex for row in bm.entries for e in row)
+            assert [[repr(e) for e in row] for row in bm.entries] == json.loads(text)["entries"]
+
+
+def test_float_pole_free_point_is_finite(tmp_path):
+    # A4 at z = (lambda2+1)/2 = 1: T = (z-1)/z is 0 there, not a pole
+    out = str(tmp_path / "f")
+    rc = main(["compute", "--kind", "LONG", "--delta", "0,0", "--lambda", "2+1i,1+0i",
                "--jmax", "1", "--nmax", "1", "--out", out])
     assert rc == 0
-    name = sorted(os.listdir(out))[0]
-    bm, doc = block_from_json(open(os.path.join(out, name)).read())
-    assert isinstance(bm.entries[0][0], complex)
+    for name in sorted(os.listdir(out)):
+        bm, _doc = block_from_json(open(os.path.join(out, name)).read())
+        assert all(cmath.isfinite(e) for row in bm.entries for e in row)
+
+
+def test_float_pole_exit_code(capsys):
+    # A4 at z = (lambda2+1)/2 = 0: (z)^(1) = 0 is a pole, as on the exact path
+    rc = main(["compute", "--kind", "A4", "--delta", "0,0", "--lambda", "2+1i,-1+0i",
+               "--jmax", "1", "--nmax", "1"])
+    assert rc == 2
+    assert "stage A4" in capsys.readouterr().err
+
+
+def test_verify_reports_raising_cell(capsys, monkeypatch):
+    def boom(z, m, rel_tol=1e-8):
+        raise RuntimeError("quadrature exploded")
+    monkeypatch.setattr(intertwine, "mellin_numeric_check", boom)
+    # a complex lambda skips the genfun, Casimir and bracket suites
+    rc = main(["verify", "--lambda", "2.5+0.25i,1.5+0i", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL(mellin-z=1.0-m=0: RuntimeError: quadrature exploded" in out
+    m = re.search(r"^(\d+)/(\d+) cells passed", out, re.M)
+    assert m and int(m.group(2)) - int(m.group(1)) == len(MELLIN_GRID)
+
+
+# SHA-256 of the exact export, so that any change to its bytes is seen:
+# compute output per kind and format (file names and bytes), and
+# action_matrix_json per noncompact root, all at delta=(0,0),
+# lambda=(9/2,5/2), j <= 2, |n| <= 2.
+EXPORT_DIGESTS = {
+    "A1.json": "966a323d85f4f23df543ac03ab0e54de25e94a42a1821033a0a1ca1f765b37e2",
+    "A1.csv": "6cdea298f4a49367eb4a46d941ec3529cdc8783a05c1520de80bd299c78b2033",
+    "A2.json": "c9622ce1a1040e62b400a2161948e95561a69a908e02a867c7ce02f10d9b33e6",
+    "A2.csv": "c10a18edba8aee17a4bb1ea0231c8523d675e130056135d17731ef0fe3242315",
+    "A3.json": "fb9fc093f6801a6a8252f70a1613b418aef8262bd68df703a3a90b1232747d37",
+    "A3.csv": "4caf0f892e7fc0f7454eba5962886b6f1859f12258d343f72b38a15c8b327e33",
+    "A4.json": "caeaeb3910e51d1342d40819209be0dfc3765049e25950c5d9d72080b1efe51c",
+    "A4.csv": "edb3de21d57f8d4829c09d6c3afcb434df6bc481cef6435140471ee1b8eaeb22",
+    "LONG.json": "659087cd40d4e4498c3fe7f58414aa50bcc9f62db477c8ce09d6119d5aae4e5b",
+    "LONG.csv": "53afd55bd879950a1320a72e72f41de429675f4277afa1c61b65aeeb7ea24fee",
+    "LONG_GENFUN.json": "02bf9cb9846db2f846c12bbe2052f8977f534f2e4f5ee354bc5a557be8f3a5cb",
+    "LONG_GENFUN.csv": "53afd55bd879950a1320a72e72f41de429675f4277afa1c61b65aeeb7ea24fee",
+    "action.2b1+b2": "93c7e1d92527fb08093f191971c4eec3004bfe88a522c9001f16d2e1a3244695",
+    "action.b1+b2": "6fb7e3f5d441eab32bd5e39c452925912fba73d915e29be06918525a98006f43",
+    "action.b2": "9c0131ceb1e9f6c9655ac936efc46992c9b03a192fc63073396bed80dab6efb7",
+    "action.-b2": "f566a5a2aa2c673f14f66fa8b96ff2a984e6a5264586e080805dc806b75971c9",
+    "action.-b1-b2": "1fe6fb7fe4451b8c54b3f57cd5f8ae4c1aa9ad74c19077d8cfba649b465cef9c",
+    "action.-2b1-b2": "6f32fdf5878d882cd636939c8b59450effc5a74165df7ac2ae88969e46a7db6c",
+}
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
+def test_exact_export_bytes_pinned(tmp_path):
+    got = {}
+    for kind in KINDS:
+        for fmt in ("json", "csv"):
+            out = str(tmp_path / (kind + fmt))
+            assert main(["compute", "--kind", kind, "--delta", "0,0", "--lambda", "9/2,5/2",
+                         "--jmax", "2", "--nmax", "2", "--out", out, "--format", fmt]) == 0
+            got["%s.%s" % (kind, fmt)] = _dir_digest(out)
+    for root in NONCOMPACT:
+        rows = action_matrix_json(root, (0, 0), (F(9, 2), F(5, 2)), 2, 2)
+        got["action." + root] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert got == EXPORT_DIGESTS

@@ -5,7 +5,7 @@ import pytest
 
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError,
                          gamma_half, half_range, parse_scalar)
-from sp4ps.gkmod import m_set
+from sp4ps.gkmod import NONCOMPACT, dr_p_action, m_set
 from sp4ps.intertwine import (BlockMatrix, QuadratureError, block_from_json,
                               block_to_csv, block_to_json, genfun_entry_raw,
                               genfun_vs_product, hg_entry_ct,
@@ -14,6 +14,7 @@ from sp4ps.intertwine import (BlockMatrix, QuadratureError, block_from_json,
                               mellin_numeric_check, mn_matrices, q_factor,
                               q_ratio, s_entry_3f2, s_entry_sum, s_norm,
                               simple_operator, t_norm)
+from sp4ps.wigner import WignerIndex, little_d
 
 CHI = Character((0, 0), (F(9, 2), F(5, 2)))
 
@@ -36,7 +37,6 @@ def test_q_factor_values():
         assert q_factor(z, 0) == ExactScalar(1, 1, 1) * gamma_half(z - F(1, 2)) / gamma_half(z)
     # float path agrees
     v = q_factor(2.25 + 0j, 1.0)
-    w = q_factor(F(9, 4), 1).to_complex() if False else None
     assert abs(v - math.pi * 2 ** (2 - 4.5) * math.gamma(3.5) / (math.gamma(3.25) * math.gamma(1.25))) < 1e-12
 
 
@@ -51,6 +51,13 @@ def test_q_ratio():
         gamma_half(F(5, 2)) ** 2 / (gamma_half(3) * gamma_half(2))
     with pytest.raises(PoleError):
         q_ratio(F(7, 3), HalfInt.of(F(1, 2)))
+    # complex z takes the same formula: Pochhammers for integer m (with the
+    # same poles), reciprocal Gammas for half-odd m (a denominator pole is 0)
+    for z, m in ((F(7, 3), 2), (F(-5, 2), 1), (F(2), 2), (F(7, 2), F(1, 2)), (F(3, 2), F(3, 2))):
+        want = q_ratio(z, m).to_complex()
+        assert abs(q_ratio(complex(z), m) - want) <= 1e-12 * max(1.0, abs(want))
+    with pytest.raises(PoleError):
+        q_ratio(complex(-1), 2)
 
 
 def test_t_norm():
@@ -123,6 +130,51 @@ def test_closed_form_float_path():
     a = s_entry_3f2(2, 0, 2, 0, z)
     b = s_entry_sum(2, 0, 2, 0, complex(z))
     assert abs(a - b) < 1e-10 * max(1.0, abs(b))
+
+
+def _values(x) -> dict:
+    return {k: complex(v) for k, v in x.items()} if isinstance(x, dict) else {None: complex(x)}
+
+
+def _exact_values(x) -> dict:
+    return {k: v.as_exact().to_complex() for k, v in x.items()} if isinstance(x, dict) \
+        else {None: x.to_complex()}
+
+
+_CHI_E = Character((0, 0), (F(7, 3), F(-4, 5)))
+_CHI_F = Character((0, 0), (complex(7 / 3), complex(-4 / 5)))
+_V = WignerIndex.of(2, 1, 1, 0)
+
+# (exact call, the same call on the float path): each float path of a
+# formula that also has an exact evaluation, at rational points given as
+# complex numbers (angles in radians)
+FLOAT_PATH_CASES = {
+    **{"dr_p_action-" + root: (lambda r=root: dr_p_action(r, _V, _CHI_E),
+                               lambda r=root: dr_p_action(r, _V, _CHI_F))
+       for root in NONCOMPACT},
+    "s_norm-2-2-0": (lambda: s_norm(2, 0, 2, 0, F(7, 3)), lambda: s_norm(2, 0, 2, 0, complex(7 / 3))),
+    "s_norm-3-1-1": (lambda: s_norm(3, 1, 1, -1, F(11, 4)), lambda: s_norm(3, 1, 1, -1, complex(11 / 4))),
+    "s_entry_sum-2-2-0": (lambda: s_entry_sum(2, 0, 2, 0, F(5, 2)),
+                          lambda: s_entry_sum(2, 0, 2, 0, complex(5 / 2))),
+    "s_entry_sum-1-1-1": (lambda: s_entry_sum(1, 0, 1, -1, F(7, 2)),
+                          lambda: s_entry_sum(1, 0, 1, -1, complex(7 / 2))),
+    "t_norm-integer": (lambda: t_norm(2, 0, F(7, 3)), lambda: t_norm(2, 0, complex(7 / 3))),
+    "t_norm-integer-4": (lambda: t_norm(-1, 3, F(-5, 2)), lambda: t_norm(-1, 3, complex(-5 / 2))),
+    "t_norm-half-odd": (lambda: t_norm(0, 1, F(7, 2)), lambda: t_norm(0, 1, complex(7 / 2))),
+    "t_norm-half-odd-3": (lambda: t_norm(0, -3, F(9, 2)), lambda: t_norm(0, -3, complex(9 / 2))),
+    "little_d-2": (lambda: little_d(2, 1, -1, F(1, 2)), lambda: little_d(2, 1, -1, math.pi / 2)),
+    "little_d-3/2": (lambda: little_d(F(3, 2), F(1, 2), F(-3, 2), F(3, 2)),
+                     lambda: little_d(F(3, 2), F(1, 2), F(-3, 2), 3 * math.pi / 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_PATH_CASES))
+def test_float_path_matches_exact(case):
+    exact_call, float_call = FLOAT_PATH_CASES[case]
+    want, got = _exact_values(exact_call()), _values(float_call())
+    assert want and set(want) == set(got)
+    for k, w in want.items():
+        assert abs(got[k] - w) <= 1e-12 * max(1.0, abs(w)), (k, got[k], w)
 
 
 def test_s_norm():

@@ -3,9 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from sp4ps.exact import PoleError
-from sp4ps.laurent import (LSeries1, LSeries2, TruncationError, binom_series,
-                           constant_term_1, constant_term_2, hyp2f1_series,
-                           hyp_partial_sum, partial_sum_check)
+from sp4ps.laurent import (LSeries1, TruncationError, binom_series,
+                           hyp2f1_series, hyp_partial_sum, partial_sum_check)
 
 
 def test_binom_series_examples():
@@ -40,13 +39,10 @@ def test_hyp2f1_series():
 
 def test_constant_terms():
     s = LSeries1("t", -1, [F(1), F(3), F(1)], 4)   # t^-1 + 3 + t
-    assert constant_term_1(s) == 3
+    assert s.coeff(0) == 3
     assert s.coeff(-5) == 0
     with pytest.raises(TruncationError):
         s.coeff(5)
-    two = LSeries2()
-    two.add_term(F(1), LSeries1("t1", 0, [F(1)], 0), LSeries1("t2", 0, [F(1)], 0))
-    assert constant_term_2(two) == 1
 
 
 def test_ring_axioms(rng):
