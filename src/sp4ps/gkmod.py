@@ -16,6 +16,11 @@ sqrt(r)*pi^(p/2)*i^k (class ``RSum``) at rational lambda and complex
 numbers at complex lambda.  Both come from one formula: its exact factors
 (Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
 where they meet a complex lambda, through ``exact.lift``.
+
+Linear combinations are dicts {basis index: coefficient}.  dl of an
+element, a word or the Casimir is summed into one dict in place
+(``_accumulate``), term by term in a fixed order, so a float result has the
+same bits on every run; ``lc_add`` and ``lc_scale`` return new dicts.
 """
 
 from __future__ import annotations
@@ -91,13 +96,20 @@ class RSum:
 
     Distinct radical classes are Q-linearly independent, so classes never
     cross-cancel; a value collapses to a single ExactScalar iff at most one
-    class survives.
+    class survives.  ``terms`` holds nonzero Fractions only.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
+        self.terms = {k: q for k, q in (terms or {}).items() if q}
+
+    @staticmethod
+    def _wrap(terms: dict) -> "RSum":
+        """An RSum owning ``terms``, which must hold nonzero values only."""
+        out = object.__new__(RSum)
+        out.terms = terms
+        return out
 
     @staticmethod
     def of(x) -> "RSum":
@@ -108,47 +120,67 @@ class RSum:
         if isinstance(x, ExactScalar):
             if x.is_zero():
                 return RSum()
-            return RSum({(x.r, x.p, x.im): x.q})
+            return RSum._wrap({(x.r, x.p, x.im): x.q})
         raise TypeError("cannot coerce %r to RSum" % (x,))
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __add__(self, other):
-        other = RSum.of(other)
+        if other.__class__ is not RSum:
+            other = RSum.of(other)
         out = dict(self.terms)
         for k, q in other.terms.items():
-            s = out.get(k, Fraction(0)) + q
-            if s:
-                out[k] = s
+            if k in out:
+                s = out[k] + q
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
             else:
-                out.pop(k, None)
-        return RSum(out)
+                out[k] = q
+        return RSum._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RSum({k: -q for k, q in self.terms.items()})
+        return RSum._wrap({k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-RSum.of(other))
 
     def __mul__(self, other):
-        other = RSum.of(other)
+        if other.__class__ is not RSum:
+            other = RSum.of(other)
         out = {}
         for (r1, p1, i1), q1 in self.terms.items():
             for (r2, p2, i2), q2 in other.terms.items():
-                g = math.gcd(r1, r2)
-                q = q1 * q2 * g
+                # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2)
+                q = q1 * q2
+                if r1 == 1 or r2 == 1:
+                    r = r1 * r2
+                else:
+                    g = math.gcd(r1, r2)
+                    if g == 1:
+                        r = r1 * r2
+                    else:
+                        r = (r1 // g) * (r2 // g)
+                        q = q * g
                 if i1 and i2:
                     q = -q
-                key = ((r1 // g) * (r2 // g), p1 + p2, i1 != i2)
-                s = out.get(key, 0) + q
-                if s:
-                    out[key] = s
+                key = (r, p1 + p2, i1 != i2)
+                if key in out:
+                    s = out[key] + q
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
                 else:
-                    out.pop(key, None)
-        return RSum(out)
+                    out[key] = q
+        return RSum._wrap(out)
 
     __rmul__ = __mul__
 
@@ -185,16 +217,8 @@ def cyc8_to_rsum(z: Cyc8) -> RSum:
     """a + b w + c w^2 + d w^3 with w = e^{i pi/4}: real/imag parts split
     over the radical classes 1 and sqrt2."""
     a, b, c, d = z.c
-    out = RSum()
-    if a:
-        out = out + RSum({(1, 0, False): a})
-    if c:
-        out = out + RSum({(1, 0, True): c})
-    if b - d:
-        out = out + RSum({(2, 0, False): (b - d) / 2})
-    if b + d:
-        out = out + RSum({(2, 0, True): (b + d) / 2})
-    return out
+    return RSum({(1, 0, False): a, (1, 0, True): c,
+                 (2, 0, False): (b - d) / 2, (2, 0, True): (b + d) / 2})
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +258,28 @@ class NoncompactLabel:
 # linear combinations
 # ---------------------------------------------------------------------------
 
-def _coef_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, RSum) else c == 0
+def _accumulate(out: dict, terms: dict, c=None) -> None:
+    """out += c * terms in place (out += terms without c), term by term in
+    the order of ``terms``; a term that cancels is dropped.  Coefficients
+    are RSum or complex, and both are false exactly when zero."""
+    if c is not None and c.__class__ is RSum and not c.terms:
+        return
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        if k in out:
+            s = out[k] + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        elif v:
+            out[k] = v
 
 
 def lc_add(a: dict, b: dict) -> dict:
     out = dict(a)
-    for k, v in b.items():
-        if k in out:
-            s = out[k] + v
-            if _coef_zero(s):
-                del out[k]
-            else:
-                out[k] = s
-        elif not _coef_zero(v):
-            out[k] = v
+    _accumulate(out, b)
     return out
 
 
@@ -345,7 +376,7 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: 
             c = _cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)
             if c:
                 tgt = WignerIndex.of(jt, n + beta.n_beta, tm1, tm2)
-                out = lc_add(out, {tgt: coef_of(lift(c, coef) * coef)})
+                _accumulate(out, {tgt: coef_of(lift(c, coef) * coef)})
     return out
 
 
@@ -427,17 +458,7 @@ def gmat_to_element(x: GMat) -> dict:
         raise DecompositionError(str(exc)) from exc
     out = {}
     for name, c in coords.items():
-        cr = cyc8_to_rsum(c)
-        for lab, base in chevalley_element(name).items():
-            add = cr * base
-            if lab in out:
-                s = out[lab] + add
-                if s.is_zero():
-                    del out[lab]
-                else:
-                    out[lab] = s
-            elif not add.is_zero():
-                out[lab] = add
+        _accumulate(out, chevalley_element(name), cyc8_to_rsum(c))
     return out
 
 
@@ -464,8 +485,7 @@ def dl_element(elem, lc: dict, chi: Character) -> dict:
                 act = dl_k_action("U%d" % lab[1], v)
                 if not exact:
                     act = {k: c.to_complex() for k, c in act.items()}
-            c = ce * cv if exact else ce.to_complex() * cv
-            out = lc_add(out, lc_scale(act, c))
+            _accumulate(out, act, ce * cv if exact else ce.to_complex() * cv)
     return out
 
 
@@ -486,8 +506,7 @@ def omega2_action(v: WignerIndex, chi: Character) -> dict:
     out = {}
     for coef, word in omega2_words():
         contrib = dl_word(word, v, chi)
-        scale = RSum.of(coef) if chi.is_exact() else complex(coef)
-        out = lc_add(out, lc_scale(contrib, scale))
+        _accumulate(out, contrib, RSum.of(coef) if chi.is_exact() else complex(coef))
     return out
 
 

@@ -514,14 +514,28 @@ _READ = {
 }
 
 
+# the +-1 entries of each Chevalley matrix, as (row, column, is +1)
+_SUPPORT = {lab: [(i, k, e.c[0] > 0) for i, row in enumerate(chevalley(lab).rows)
+                  for k, e in enumerate(row) if not e.is_zero()]
+            for lab in _READ}
+
+
 def decompose_chevalley(x: GMat) -> dict:
     """Coordinates of x in the basis {H1, H2, X_alpha}; validates that x
-    really lies in sp(4)."""
-    coords = {lab: x.entry(i, k) for lab, (i, k) in _READ.items()}
-    recon = GMat.zero()
-    for lab, c in coords.items():
+    really lies in sp(4) by rebuilding it from the coordinates' supports
+    and comparing all 16 entries."""
+    coords = {}
+    for lab, (i, k) in _READ.items():
+        c = x.entry(i, k)
         if not c.is_zero():
-            recon = recon + chevalley(lab).scale(c)
-    if not (recon == x):
-        raise ValueError("matrix is not in the sp(4) span")
-    return {lab: c for lab, c in coords.items() if not c.is_zero()}
+            coords[lab] = c
+    recon = [[None] * 4 for _ in range(4)]
+    for lab, c in coords.items():
+        for i, k, plus in _SUPPORT[lab]:
+            t = c if plus else -c
+            recon[i][k] = t if recon[i][k] is None else recon[i][k] + t
+    for row, want in zip(x.rows, recon):
+        for a, b in zip(row, want):
+            if not (a.is_zero() if b is None else a.c == b.c):
+                raise ValueError("matrix is not in the sp(4) span")
+    return coords

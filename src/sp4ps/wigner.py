@@ -106,6 +106,17 @@ class WignerIndex:
                 raise ValueError("j+m not an integer in %s" % (idx,))
         return idx
 
+    # dict keys of every linear combination: compare and hash the four
+    # integers, not the four HalfInt objects
+    def __eq__(self, other):
+        if other.__class__ is not WignerIndex:
+            return NotImplemented
+        return (self.j.twice == other.j.twice and self.n.twice == other.n.twice
+                and self.m1.twice == other.m1.twice and self.m2.twice == other.m2.twice)
+
+    def __hash__(self):
+        return hash((self.j.twice, self.n.twice, self.m1.twice, self.m2.twice))
+
     def __str__(self):
         return "W[(%s,%s);%s,%s]" % (self.j, self.n, self.m1, self.m2)
 

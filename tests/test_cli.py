@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sp4ps import intertwine
+from sp4ps import gkmod, intertwine, sp4
 from sp4ps.cli import MELLIN_GRID, main
 from sp4ps.gkmod import NONCOMPACT, action_matrix_json
 from sp4ps.intertwine import KINDS, block_from_json
@@ -103,13 +103,66 @@ def test_verify_reports_raising_cell(capsys, monkeypatch):
     def boom(z, m, rel_tol=1e-8):
         raise RuntimeError("quadrature exploded")
     monkeypatch.setattr(intertwine, "mellin_numeric_check", boom)
-    # a complex lambda skips the genfun, Casimir and bracket suites
+    # a complex lambda skips the genfun and bracket suites
     rc = main(["verify", "--lambda", "2.5+0.25i,1.5+0i", "--jobs", "1"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL(mellin-z=1.0-m=0: RuntimeError: quadrature exploded" in out
     m = re.search(r"^(\d+)/(\d+) cells passed", out, re.M)
     assert m and int(m.group(2)) - int(m.group(1)) == len(MELLIN_GRID)
+
+
+def test_verify_complex_lambda_checks_casimir(capsys):
+    rc = main(["verify", "--lambda", "2.5+0.25i,1.5+0i", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    m = re.search(r"^  casimir +(\d+) cells  pass  \(\d+\.\ds\)$", out, re.M)
+    assert m and int(m.group(1)) > 0
+    assert re.search(r"^  genfun +skipped \(needs rational lambda\)$", out, re.M)
+    assert re.search(r"^  bracket +skipped \(needs rational lambda\)$", out, re.M)
+    assert re.search(r"^(\d+)/\1 cells passed in \d+\.\ds$", out, re.M)
+
+
+def test_verify_float_casimir_cell_fails_on_wrong_scalar(capsys, monkeypatch):
+    monkeypatch.setattr(sp4, "hc_omega2", lambda lam: 0.5 + 0j)
+    rc = main(["verify", "--lambda", "2.5+0.25i,1.5+0i", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    m = re.search(r"^  casimir +(\d+) cells  FAIL\(casimir-j=0-n=", out, re.M)
+    summary = re.search(r"^(\d+)/(\d+) cells passed", out, re.M)
+    assert m and summary
+    assert int(summary.group(2)) - int(summary.group(1)) == int(m.group(1))
+
+
+def test_verify_seed_pins_draws_at_any_jobs(capsys, monkeypatch):
+    # each cell seeds its own generator from (SP4_SEED, cell name), so the
+    # inputs the cells draw do not depend on how threads interleave
+    def draws():
+        drawn = []
+
+        def bracket(x, y):
+            drawn.append(("bracket", repr(x.rows), repr(y.rows)))
+            raise RuntimeError("recorded")     # the pair is all this test needs
+
+        def iwasawa_sl2(simple, t, real=sp4.iwasawa_sl2):
+            if isinstance(t, float):
+                drawn.append(("iwasawa", simple, t))
+            return real(simple, t)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sp4, "bracket", bracket)
+            mp.setattr(sp4, "iwasawa_sl2", iwasawa_sl2)
+            mp.setattr(gkmod, "omega2_action", lambda v, chi: {})   # not under test
+            mp.setenv("SP4_SEED", "5")
+            assert main(["verify", "--jobs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL(bracket-pair-0: RuntimeError: recorded" in out
+        return sorted(drawn)
+
+    first, second = draws(), draws()
+    assert sum(d[0] == "bracket" for d in first) == 8
+    assert sum(d[0] == "iwasawa" for d in first) == 20
+    assert first == second
 
 
 # SHA-256 of the exact export, so that any change to its bytes is seen:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -70,6 +71,29 @@ def test_rsum():
     # multiplication distributes over mixed classes
     t = (a + b) * (a - b)
     assert t == a * a - b * b
+
+
+def test_rsum_products_and_sums():
+    # one operand of every pair below takes each shortcut of __mul__:
+    # radicand 1, coprime radicands, and a common factor g = gcd > 1
+    x = RSum({(1, 0, False): F(2, 3), (6, 0, True): F(-1, 2)})
+    y = RSum({(1, 0, True): F(5), (10, 1, False): F(3, 7)})
+    want = {
+        (1, 0, True): F(10, 3),                  # 2/3 * 5i
+        (10, 1, False): F(2, 7),                 # 2/3 * 3/7 sqrt10 pi^(1/2)
+        (6, 0, False): F(5, 2),                  # -i/2 sqrt6 * 5i
+        (15, 1, True): F(-3, 7),                 # -i/2 sqrt6 * 3/7 sqrt10: g = 2
+    }
+    assert (x * y).terms == want and (y * x).terms == want
+    assert (x * 3).terms == {(1, 0, False): F(2), (6, 0, True): F(-3, 2)}
+    assert (3 * x) == x * 3 and (1 + x) == x + 1
+    assert RSum.__rmul__ is RSum.__mul__ and RSum.__radd__ is RSum.__add__
+    # sums cancel term by term; a cancelled key that comes back goes last
+    s = x + RSum({(6, 0, True): F(1, 2), (2, 0, False): F(1)})
+    assert list(s.terms) == [(1, 0, False), (2, 0, False)]
+    assert list((s + RSum({(6, 0, True): F(1)})).terms)[-1] == (6, 0, True)
+    assert not (x - x) and (x - x).is_zero() and x
+    assert RSum({(1, 0, False): F(0)}).is_zero()
 
 
 def test_cyc8_to_rsum():
@@ -293,6 +317,56 @@ def test_dl_p_float_path_matches_exact():
     assert set(exact) == set(floaty)
     for k in exact:
         assert abs(exact[k].to_complex() - floaty[k]) < 1e-12
+
+
+# SHA-256 of the module-layer outputs, recorded before the hot path was
+# rewritten: [(str(k), repr(c)) for k, c in out.items()] per basis vector of
+# j <= 1, |n| <= 1, in dict order, so that the values, the float bits and the
+# key order are all pinned.  "nested" is dl(X) dl(Y) v for two fixed dense
+# matrices X, Y.
+MODULE_CHARS = {
+    "00": Character((0, 0), (F(5, 2), F(1, 3))),
+    "01": Character((0, 1), (F(11, 5), F(2, 9))),
+    "float": Character((0, 0), (complex(2.3, 0.7), complex(0.4, -0.2))),
+}
+MODULE_DIGESTS = {
+    ("00", "omega2"): "a7ba8cbb6ba38bff8a16c72f09865931a4cfcb13cfd993e2e95d9bdc24c0759f",
+    ("00", "nested"): "b98b4c468513494304b0d4681a452486a2ac14911ce4334c2ea23a356db14359",
+    ("01", "omega2"): "bb7e06ee26efbef0090dce36e09935e880d44d89996e6bcf9f0a91478e1043ec",
+    ("01", "nested"): "c2828b1c30e3a6818045e7cf4af5c0256c81d3bf109ced837e3c8b8803affcf1",
+    ("float", "omega2"): "29367994f825ae4f9cda1cb7f37abefc7707ba32cefbc34fd9c7e186f12a61ff",
+    ("float", "nested"): "97be0102b37d64dceb01d9924978f3a6e6bfff5d053ef74fd6ff90706a40615d",
+}
+
+
+def _chevalley_sum(coefs):
+    x = GMat.zero()
+    for lab, c in zip(("H1", "H2") + ALL_ROOTS, coefs):
+        x = x + chevalley(lab).scale(c)
+    return x
+
+
+def _lc_digest(outs):
+    h = hashlib.sha256()
+    for out in outs:
+        h.update(repr([(str(k), repr(c)) for k, c in out.items()]).encode())
+    return h.hexdigest()
+
+
+def test_module_layer_outputs_pinned():
+    x = _chevalley_sum((1, -2, 3, -1, 2, -3, 1, 2, -1, 3))
+    y = _chevalley_sum((-3, 1, 2, 1, -1, -2, 3, -1, 2, 1))
+    got = {}
+    for name, chi in MODULE_CHARS.items():
+        vecs = [WignerIndex.of(j, n, m1, m2)
+                for (j, n, _mult) in ktypes(chi.delta, 1, 1)
+                for m2 in m_set(j, n, chi.delta)
+                for m1 in half_range(-j, j)]
+        one = RSum.of(1) if chi.is_exact() else 1 + 0j
+        got[(name, "omega2")] = _lc_digest(omega2_action(v, chi) for v in vecs)
+        got[(name, "nested")] = _lc_digest(
+            dl_element(x, dl_element(y, {v: one}, chi), chi) for v in vecs)
+    assert got == MODULE_DIGESTS
 
 
 def test_action_matrix_json():

@@ -181,3 +181,42 @@ def test_decompose_roundtrip(rng):
         assert d.get(lab, Cyc8()) == Cyc8.of(c)
     with pytest.raises(ValueError):
         decompose_chevalley(GMat.build([[1, 0, 0, 0]] + [[0] * 4] * 3))
+
+
+# The supports of the ten Chevalley matrices tile the 4x4 grid.  A
+# coordinate is read at one position of its support; the other position of
+# the six two-entry supports is fixed by it:
+# (2,2) = -(0,0), (3,3) = -(1,1), (3,2) = -(0,1), (2,3) = -(1,0),
+# (0,3) = (1,2) and (3,0) = (2,1).
+DEPENDENT = ((2, 2), (3, 3), (3, 2), (2, 3), (0, 3), (3, 0))
+
+
+def _rows(x):
+    return [[x.entry(i, k) for k in range(4)] for i in range(4)]
+
+
+def test_decompose_rejects_broken_dependent_entry():
+    x = GMat.zero()
+    for lab, c in zip(("H1", "H2") + ALL_ROOTS, (1, -2, 3, -1, 2, -3, 1, 2, -1, 3)):
+        x = x + chevalley(lab).scale(c)
+    coords = decompose_chevalley(x)
+    assert len(coords) == 10
+    for (i, k) in DEPENDENT:
+        rows = _rows(x)
+        rows[i][k] = rows[i][k] + Cyc8(F(1, 2))   # every read position agrees
+        with pytest.raises(ValueError):
+            decompose_chevalley(GMat.build(rows))
+
+
+def test_decompose_rejects_entry_outside_nonzero_supports():
+    # one nonzero entry and no nonzero coordinate: the reconstruction is 0
+    for (i, k) in DEPENDENT:
+        rows = [[0] * 4 for _ in range(4)]
+        rows[i][k] = Cyc8(0, 1, 0, -1)              # sqrt2
+        with pytest.raises(ValueError):
+            decompose_chevalley(GMat.build(rows))
+    # a dependent entry of a support whose coordinate is nonzero, beside it
+    rows = _rows(chevalley("a1").scale(2))
+    rows[2][2] = Cyc8(1)
+    with pytest.raises(ValueError):
+        decompose_chevalley(GMat.build(rows))

@@ -265,3 +265,18 @@ def test_index_validation():
         WignerIndex.of(1, 0, 2, 0)
     with pytest.raises(ValueError):
         WignerIndex.of(F(3, 2), 0, 1, F(1, 2))
+
+
+def test_index_equality_and_hash():
+    a = WignerIndex.of(F(3, 2), F(1, 2), F(-1, 2), F(3, 2))
+    b = WignerIndex.of("3/2", "1/2", "-1/2", "3/2")
+    c = WignerIndex.of(HalfInt(3), HalfInt(1), HalfInt(-1), HalfInt(3))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    d = WignerIndex.of(2, 1, 0, -1)
+    assert d == WignerIndex.of(F(2), F(1), F(0), F(-1)) == WignerIndex.of("2", "1", "0", "-1")
+    table = {a: 1, d: 2}
+    table[b] = 3
+    table[WignerIndex.of(F(2), "1", 0, F(-1))] = 4
+    assert table == {c: 3, d: 4} and len(table) == 2
+    assert a != d and a != WignerIndex.of(F(3, 2), F(1, 2), F(1, 2), F(3, 2))
+    assert a != (3, 1, -1, 3) and a != "W[(3/2,1/2);-1/2,3/2]" and a != None  # noqa: E711
