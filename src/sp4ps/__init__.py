@@ -2,8 +2,8 @@
 principal series of Sp(4,R)."""
 
 from .exact import (Character, CScalar, ExactScalar, HalfInt,
-                    MixedRadicalError, PoleError, binomial, gamma_half,
-                    parse_scalar, pochhammer)
+                    MixedRadicalError, PoleError, UnsupportedExactInput,
+                    binomial, gamma_half, parse_scalar, pochhammer)
 from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
 from .wigner import (EulerAngles, OutOfRange, WignerIndex, clebsch_gordan_j1,
                      jacobi_hyp, jacobi_sum, little_d, product_expand, wigner_D)

@@ -17,7 +17,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .exact import Character, ExactScalar, HalfInt, PoleError, half_range
+from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
+                    half_range)
 from . import exact, gkmod, intertwine, laurent, sp4, wigner
 
 
@@ -490,6 +491,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except PoleError as exc:
         print("pole error: %s" % exc, file=sys.stderr)
+        return 2
+    except UnsupportedExactInput as exc:
+        print("unsupported exact input: %s; pass lambda as complex numbers "
+              "such as 4.5+0i to use the float path" % exc, file=sys.stderr)
         return 2
     except (ValueError, laurent.TruncationError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -24,6 +24,11 @@ class PoleError(ArithmeticError):
     """A gamma/Pochhammer factor was evaluated at a nonpositive-integer pole."""
 
 
+class UnsupportedExactInput(ArithmeticError):
+    """A finite value the exact scalars cannot represent (e.g. a Gamma at a
+    quarter-integer); the float path computes it."""
+
+
 class MixedRadicalError(ArithmeticError):
     """Addition of two exact scalars whose radical parts differ."""
 

@@ -21,6 +21,13 @@ Linear combinations are dicts {basis index: coefficient}.  dl of an
 element, a word or the Casimir is summed into one dict in place
 (``_accumulate``), term by term in a fixed order, so a float result has the
 same bits on every run; ``lc_add`` and ``lc_scale`` return new dicts.
+
+The Casimir is applied in collected form: its Chevalley words, expanded
+once per process in the catalog basis {u_beta, U_i} with letter order
+kept, give one outer element for each catalog label applied first, plus a
+linear part.  One vector then costs dl of the ten inner labels (cached)
+and one ``dl_element`` per inner label, not the eight words letter by
+letter.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Character, ExactScalar, HalfInt, half_range, lift
-from .sp4 import Cyc8, GMat, decompose_chevalley
+from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
 BasisIndex = WignerIndex
@@ -472,20 +479,23 @@ def _as_element(x) -> dict:
     raise DecompositionError("cannot interpret %r as an algebra element" % (x,))
 
 
+def _dl_label(lab, v: WignerIndex, chi: Character, exact: bool) -> dict:
+    """dl of one catalog label on a basis vector, in chi's arithmetic."""
+    if lab[0] == "u":
+        return dl_p_action(NoncompactLabel(lab[1], lab[2]), v, chi)
+    act = dl_k_action("U%d" % lab[1], v)
+    return act if exact else {k: c.to_complex() for k, c in act.items()}
+
+
 def dl_element(elem, lc: dict, chi: Character) -> dict:
     """Apply dl of one algebra element to a linear combination."""
     elem = _as_element(elem)
     exact = chi.is_exact()
+    coefs = elem.items() if exact else [(lab, ce.to_complex()) for lab, ce in elem.items()]
     out = {}
     for v, cv in lc.items():
-        for lab, ce in elem.items():
-            if lab[0] == "u":
-                act = dl_p_action(NoncompactLabel(lab[1], lab[2]), v, chi)
-            else:
-                act = dl_k_action("U%d" % lab[1], v)
-                if not exact:
-                    act = {k: c.to_complex() for k, c in act.items()}
-            _accumulate(out, act, ce * cv if exact else ce.to_complex() * cv)
+        for lab, ce in coefs:
+            _accumulate(out, _dl_label(lab, v, chi, exact), ce * cv)
     return out
 
 
@@ -500,13 +510,36 @@ def dl_word(word, v: WignerIndex, chi: Character) -> dict:
     return lc
 
 
+@lru_cache(maxsize=None)
+def _omega2_form() -> tuple:
+    """The Casimir collected in the catalog basis, as (inner, outer) pairs:
+    omega2 = sum of outer * inner, where inner is the catalog label applied
+    first (None for the linear part) and outer a {catalog label: RSum}
+    element.  Every word is expanded with its letter order kept and equal
+    monomials are summed exactly; no relation of g is used."""
+    form, linear = {}, {}
+    for coef, word in omega2_words():      # words of one or two letters
+        inner = chevalley_element(word[-1])
+        if len(word) == 1:
+            _accumulate(linear, inner, RSum.of(coef))
+            continue
+        outer = chevalley_element(word[0])
+        for lab, c in inner.items():
+            _accumulate(form.setdefault(lab, {}), outer, RSum.of(coef) * c)
+    return tuple(form.items()) + ((None, linear),)
+
+
 def omega2_action(v: WignerIndex, chi: Character) -> dict:
-    """dl of the degree-2 Casimir (acts by hc_omega2(lambda) on I(chi))."""
-    from .sp4 import omega2_words
+    """dl of the degree-2 Casimir (acts by hc_omega2(lambda) on I(chi)),
+    from its collected form: dl(outer) dl(inner) v summed over the form."""
+    exact = chi.is_exact()
     out = {}
-    for coef, word in omega2_words():
-        contrib = dl_word(word, v, chi)
-        _accumulate(out, contrib, RSum.of(coef) if chi.is_exact() else complex(coef))
+    for inner, outer in _omega2_form():
+        if inner is None:
+            lc = {v: RSum.of(1) if exact else 1 + 0j}
+        else:
+            lc = _dl_label(inner, v, chi, exact)
+        _accumulate(out, dl_element(outer, lc, chi))
     return out
 
 

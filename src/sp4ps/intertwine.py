@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (Character, ExactScalar, HalfInt, PoleError, binomial,
-                    gamma_half, half_range, lift, pochhammer, require_finite)
+from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
+                    binomial, gamma_half, half_range, lift, pochhammer, require_finite)
 from .gkmod import m_set
 from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
 from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
@@ -152,9 +152,9 @@ def q_ratio(z, m):
     Integer m: the rational function (z-|m|)^(|m|)/(z)^(|m|), exact at
     rational z and complex at complex z; a vanishing (z)^(|m|) is a pole.
     Half-odd m (half-integer-spin blocks, delta=(1,1) exponents): exact
-    Gammas at half-integer z, scipy Gammas at complex z.  A pole of Gamma(z)
-    raises PoleError on the exact path and gives a non-finite value on the
-    float path.
+    Gammas at half-integer z, scipy Gammas at complex z; any other rational
+    z raises UnsupportedExactInput.  A pole of Gamma(z) raises PoleError on
+    the exact path and gives a non-finite value on the float path.
     """
     m = HalfInt.of(m)
     exact = isinstance(z, (int, Fraction))
@@ -172,8 +172,8 @@ def q_ratio(z, m):
         from scipy.special import gamma, rgamma
         return gamma(z) ** 2 * rgamma(z + float(mf)) * rgamma(z - float(mf))
     if (2 * z).denominator != 1:
-        raise PoleError("half-odd Pochhammer pair exponent %s needs a "
-                        "half-integer argument, got %s" % (m, z))
+        raise UnsupportedExactInput("half-odd Pochhammer pair exponent %s needs a "
+                                    "half-integer argument, got %s" % (m, z))
     val, order = _gamma_meromorphic(
         [(HalfInt.of(z), 1), (HalfInt.of(z), 1)],
         [(HalfInt.of(z + mf), 1), (HalfInt.of(z - mf), 1)])
@@ -438,8 +438,8 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
             raise ValueError("simple_operator kind must be one of A1..A4")
         if not isinstance(z, (int, Fraction)):
             ent = [[require_finite(e) for e in row] for row in ent]
-    except PoleError as exc:
-        raise PoleError("stage %s (argument %s): %s" % (kind, z, exc)) from exc
+    except (PoleError, UnsupportedExactInput) as exc:
+        raise type(exc)("stage %s (argument %s): %s" % (kind, z, exc)) from exc
     return BlockMatrix((j, n), rows, cols, ent)
 
 

@@ -119,13 +119,11 @@ def test_criterion_06_casimir_scalar():
         for (j, n, _mult) in ktypes((0, 0), 4, 4):
             for m2 in m_set(j, n, (0, 0)):
                 for m1 in half_range(-j, j):
-                    out = omega2_action(WignerIndex.of(j, n, m1, m2), chi)
                     v = WignerIndex.of(j, n, m1, m2)
-                    for k, c in out.items():
-                        if k == v:
-                            ok = ok and c == expect
-                        else:
-                            ok = ok and c.is_zero()
+                    out = omega2_action(v, chi)
+                    # the diagonal must be there (absent only when the scalar is 0)
+                    ok = ok and out.get(v, RSum()) == expect
+                    ok = ok and all(c.is_zero() for k, c in out.items() if k != v)
     _report(6, "Casimir scalar = hc(lambda)", ok, t0)
 
 

@@ -56,6 +56,24 @@ def test_pole_exit_code(capsys):
     assert "pole" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("delta, lam, lam_complex, argument", [
+    ("1,1", "9/2,5/2", "4.5+0i,2.5+0i", "11/4"),
+    ("0,1", "7/2,1/2", "3.5+0i,0.5+0i", "9/4"),
+])
+def test_unsupported_exact_input_exit_code(tmp_path, capsys, delta, lam, lam_complex, argument):
+    # a half-odd Pochhammer pair at a quarter-integer argument is finite but
+    # has no exact form: exit 2, named as such and not as a pole
+    args = ["compute", "--kind", "LONG", "--delta", delta, "--jmax", "1", "--nmax", "1"]
+    assert main(args + ["--lambda", lam, "--out", str(tmp_path / "exact")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported exact input: stage A2 (argument %s):" % argument)
+    assert "pole" not in err and "complex" in err
+    # the float path the message points to computes these blocks
+    out = tmp_path / "float"
+    assert main(args + ["--lambda", lam_complex, "--out", str(out)]) == 0
+    assert os.listdir(out)
+
+
 def test_config_error_exit_code():
     with pytest.raises(SystemExit):
         main(["compute", "--delta", "3,0"])

@@ -1,12 +1,15 @@
+import functools
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sp4ps import gkmod
 from sp4ps.exact import Character, ExactScalar, HalfInt, half_range
 from sp4ps.gkmod import (DecompositionError, NoncompactLabel, RSum,
                          action_matrix_json, check_index, chevalley_element,
@@ -15,10 +18,18 @@ from sp4ps.gkmod import (DecompositionError, NoncompactLabel, RSum,
                          gmat_to_element, ktype_allowed, ktypes, lc_add,
                          lc_scale, m_set, omega2_action)
 from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, bracket, chevalley, hc_omega2,
-                       u2_generators, u_beta)
+                       omega2_words, u2_generators, u_beta)
 from sp4ps.wigner import WignerIndex, euler_from_u2, wigner_D, EulerAngles
 
 CHI = Character((0, 0), (F(5, 2), F(3, 2)))
+
+
+def _vectors(delta, j_max, n_max):
+    """Every basis vector of the K-types with j <= j_max, |n| <= n_max."""
+    return [WignerIndex.of(j, n, m1, m2)
+            for (j, n, _mult) in ktypes(delta, j_max, n_max)
+            for m2 in m_set(j, n, delta)
+            for m1 in half_range(-j, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +216,14 @@ def test_bracket_homomorphism(rng):
 
 
 def test_casimir_scalar_small():
+    # at lambda = (2,1) the scalar is 0, so an absent diagonal is right
     lam = (F(2), F(1))
     chi = Character((0, 0), lam)
     expect = RSum.of(ExactScalar.of(hc_omega2(lam)))
-    for (j, n, mult) in ktypes((0, 0), 2, 2):
-        for m2 in m_set(j, n, (0, 0)):
-            for m1 in half_range(-j, j):
-                v = WignerIndex.of(j, n, m1, m2)
-                out = omega2_action(v, chi)
-                for k, c in out.items():
-                    if k == v:
-                        assert c == expect
-                    else:
-                        assert c.is_zero()
+    for v in _vectors((0, 0), 2, 2):
+        out = omega2_action(v, chi)
+        assert out.get(v, RSum()) == expect
+        assert all(c.is_zero() for k, c in out.items() if k != v)
 
 
 def test_casimir_mixed_delta():
@@ -231,6 +237,57 @@ def test_casimir_mixed_delta():
     out = omega2_action(v, chi)
     assert out[v] == expect
     assert all(c.is_zero() for k, c in out.items() if k != v)
+
+
+def _random_action(tag):
+    """A seeded, sparse, random exact map {basis vector: RSum} per (generator,
+    vector), the same on every call.  It is not a representation, so the
+    Casimir built from it acts by no scalar."""
+    @functools.lru_cache(maxsize=None)
+    def action(gen, v):
+        rng = random.Random("%s:%s:%s" % (tag, gen, (v.j.twice, v.n.twice, v.m1.twice, v.m2.twice)))
+        out = {}
+        for _ in range(rng.randrange(1, 4)):
+            j = rng.randrange(0, 3)
+            w = WignerIndex.of(j, rng.randrange(-2, 3), rng.randrange(-j, j + 1),
+                               rng.randrange(-j, j + 1))
+            q = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+            c = RSum.of(ExactScalar(q, rng.choice([1, 2]), 0, rng.random() < 0.5))
+            out[w] = out.get(w, RSum()) + c
+        return {w: c for w, c in out.items() if c}
+    return action
+
+
+def test_omega2_form_matches_words_in_free_algebra(monkeypatch):
+    # with dl of every catalog label replaced by an arbitrary linear map, the
+    # collected form must still equal the sum of the Casimir's words letter
+    # by letter: only the expansion of the words is tested, no relation of g
+    p_map, k_map = _random_action("p"), _random_action("k")
+    monkeypatch.setattr(gkmod, "dl_p_action",
+                        lambda beta, v, chi: dict(p_map((beta.m_beta, beta.n_beta), v)))
+    monkeypatch.setattr(gkmod, "dl_k_action", lambda gen, v: dict(k_map(gen, v)))
+    vecs = _vectors((0, 0), 2, 2)
+    assert len(vecs) == 89
+    for v in vecs:
+        want = {}
+        for coef, word in omega2_words():
+            want = lc_add(want, lc_scale(dl_word(word, v, CHI), RSum.of(coef)))
+        got = omega2_action(v, CHI)
+        assert got == want, v
+        assert set(got) - {v}, v
+
+
+@pytest.mark.parametrize("delta, lam", [((0, 0), (F(5, 2), F(1, 3))),
+                                        ((0, 1), (F(11, 5), F(2, 9)))])
+def test_casimir_float_path_matches_exact(delta, lam):
+    chi_e = Character(delta, lam)
+    chi_f = Character(delta, tuple(complex(x) for x in lam))
+    tol = 1e-12 * max(1.0, abs(float(hc_omega2(lam))))
+    for v in _vectors(delta, 2, 1):
+        exact, floaty = omega2_action(v, chi_e), omega2_action(v, chi_f)
+        assert exact.get(v)
+        for k in set(exact) | set(floaty):
+            assert abs(floaty.get(k, 0) - exact.get(k, RSum()).to_complex()) <= tol, (v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +380,9 @@ def test_dl_p_float_path_matches_exact():
 # rewritten: [(str(k), repr(c)) for k, c in out.items()] per basis vector of
 # j <= 1, |n| <= 1, in dict order, so that the values, the float bits and the
 # key order are all pinned.  "nested" is dl(X) dl(Y) v for two fixed dense
-# matrices X, Y.
+# matrices X, Y.  The float Casimir digest was recorded again when the
+# Casimir moved to its collected form: the floats are added in another
+# order (the exact digests did not change).
 MODULE_CHARS = {
     "00": Character((0, 0), (F(5, 2), F(1, 3))),
     "01": Character((0, 1), (F(11, 5), F(2, 9))),
@@ -334,7 +393,7 @@ MODULE_DIGESTS = {
     ("00", "nested"): "b98b4c468513494304b0d4681a452486a2ac14911ce4334c2ea23a356db14359",
     ("01", "omega2"): "bb7e06ee26efbef0090dce36e09935e880d44d89996e6bcf9f0a91478e1043ec",
     ("01", "nested"): "c2828b1c30e3a6818045e7cf4af5c0256c81d3bf109ced837e3c8b8803affcf1",
-    ("float", "omega2"): "29367994f825ae4f9cda1cb7f37abefc7707ba32cefbc34fd9c7e186f12a61ff",
+    ("float", "omega2"): "f8a6108eb33bec00ee11fd162a7361c742afb933b1979f39b789d277b2c3b514",
     ("float", "nested"): "97be0102b37d64dceb01d9924978f3a6e6bfff5d053ef74fd6ff90706a40615d",
 }
 
