@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (operator blocks to JSON/CSV), ``verify`` (the
 invariant suites, run as independent cells in a thread pool), ``ktypes``
 (multiplicity table) and ``mellin-check`` (quadrature grid).  Exit codes:
-0 success, 1 failed invariant, 2 pole or configuration error.
+0 success, 1 failed invariant, 2 pole, unsupported exact input, degenerate
+generating-function block or configuration error.
 """
 
 from __future__ import annotations
@@ -371,8 +372,7 @@ def cmd_verify(args) -> int:
         ("mellin", _cells_mellin()),
     ]
     t0 = time.time()
-    failures = 0
-    total = 0
+    failures = unsupported = total = 0
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for name, cells in suites:
             if isinstance(cells, str):
@@ -380,22 +380,36 @@ def cmd_verify(args) -> int:
                 continue
             t_suite = time.time()
             total += len(cells)
-            bad = [r for r in pool.map(lambda c: _run_cell(c), cells) if r is not None]
+            results = [r for r in pool.map(lambda c: _run_cell(c), cells) if r is not None]
+            bad = [text for is_unsup, text in results if not is_unsup]
+            unsup = [text for is_unsup, text in results if is_unsup]
             failures += len(bad)
-            status = "pass" if not bad else "FAIL(%s)" % ",".join(bad[:3])
+            unsupported += len(unsup)
+            parts = []
+            if bad:
+                parts.append("FAIL(%s)" % ",".join(bad[:3]))
+            if unsup:
+                parts.append("unsupported(%s)" % ",".join(unsup[:3]))
+            status = " ".join(parts) or "pass"
             print("  %-12s %3d cells  %s  (%.1fs)" % (name, len(cells), status, time.time() - t_suite))
-    print("%d/%d cells passed in %.1fs" % (total - failures, total, time.time() - t0))
-    return 0 if failures == 0 else 1
+    print("%d/%d cells passed in %.1fs" % (total - failures - unsupported, total, time.time() - t0)
+          + ("; %d unsupported (exact input): pass lambda as complex numbers to use "
+             "the float path" % unsupported if unsupported else ""))
+    return 1 if failures else 2 if unsupported else 0
 
 
 def _run_cell(cell):
-    """None if the cell passes; else its name, with the exception's type and
-    message if it raised."""
+    """None if the cell passes; else (unsupported, text).  unsupported is
+    True when the cell raised UnsupportedExactInput, a value this input has
+    no exact form for; text is the cell's name, with the exception's type
+    and message if it raised."""
     name, fn = cell
     try:
-        return None if fn() else name
+        return None if fn() else (False, name)
+    except UnsupportedExactInput as exc:
+        return True, "%s: %s" % (name, exc)
     except Exception as exc:
-        return "%s: %s: %s" % (name, type(exc).__name__, exc)
+        return False, "%s: %s: %s" % (name, type(exc).__name__, exc)
 
 
 def cmd_ktypes(args) -> int:
@@ -414,6 +428,7 @@ def cmd_compute(args) -> int:
         raise ValueError("kind must be one of %s" % (intertwine.KINDS,))
     blocks = []
     for (j, n, _mult) in gkmod.ktypes(args.delta, args.jmax, args.nmax):
+        t = time.perf_counter()
         if kind == "LONG":
             bm = intertwine.long_operator_product((j, n), chi)
         elif kind == "LONG_GENFUN":
@@ -421,6 +436,9 @@ def cmd_compute(args) -> int:
         else:
             bm = intertwine.simple_operator(kind, (j, n), chi)
         blocks.append(bm)
+        if args.verbose:
+            print("block (%s,%s)  %dx%d  %.3fs" % (j, n, len(bm.row_index), len(bm.col_index),
+                                                 time.perf_counter() - t), file=sys.stderr)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     for bm in blocks:
@@ -478,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default=None, help="output directory")
     pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.add_argument("--trunc-order", dest="trunc_order", type=int, default=None)
+    pc.add_argument("--verbose", action="store_true",
+                    help="print each block's K-type, size and seconds to stderr")
     pc.set_defaults(func=cmd_compute)
 
     pm = sub.add_parser("mellin-check", help="quadrature vs Q on the grid")
@@ -495,6 +515,10 @@ def main(argv=None) -> int:
     except UnsupportedExactInput as exc:
         print("unsupported exact input: %s; pass lambda as complex numbers "
               "such as 4.5+0i to use the float path" % exc, file=sys.stderr)
+        return 2
+    except intertwine.DegenerateBlock as exc:
+        print("%s; --kind LONG computes this block by the four-stage product" % exc,
+              file=sys.stderr)
         return 2
     except (ValueError, laurent.TruncationError) as exc:
         print("error: %s" % exc, file=sys.stderr)

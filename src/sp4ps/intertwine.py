@@ -7,17 +7,29 @@ the simple-operator entries S (finite sum over M N Q, or the terminating
 parameter up to one fixed radical, so the default computations are exact at
 any rational lambda.
 
+The long operator has two routes: the product A4 A3 A2 A1 of the simple
+operators, and the constant term of a two-variable generating function,
+divided by the per-block constant (z_A1)_j (z_A3)_j.  That constant is a
+closed form checked against the product over a stated range (see
+genfun_vs_product), not derived, so the genfun route runs without the
+product and the two are compared entry by entry by their callers.  Both
+routes compute a block as a whole: a factor that depends on one index only
+(a row, a column, an m4 or a p) is built once per block.
+
 Removable singularities (a prefactor pole cancelling a vanishing
 hypergeometric sum, and the spurious per-term poles of the long-operator
 generating function on lambda1 hyperplanes) are evaluated by perturbing the
 parameter with a formal epsilon and extracting the constant Laurent
-coefficient; a surviving pole part is a genuine pole and raises.
+coefficient; a surviving pole part is a genuine pole and raises.  A
+PoleError or UnsupportedExactInput names the stage or block and the factor
+with its argument.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +43,23 @@ from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
 
 class QuadratureError(ArithmeticError):
     """Numerical quadrature failed to converge."""
+
+
+class DegenerateBlock(AssertionError):
+    """Every generating-function entry of a block is 0.  The long operator
+    can vanish on a block (at lambda=(7,2) the product does on some), but
+    the generating-function route has no independent check of a zero block,
+    so it reports the block instead of returning it."""
+
+
+@contextmanager
+def _named(what: str):
+    """Prefix a PoleError or UnsupportedExactInput raised in the body with
+    the factor or block it came from."""
+    try:
+        yield
+    except (PoleError, UnsupportedExactInput) as exc:
+        raise type(exc)("%s: %s" % (what, exc)) from exc
 
 
 KINDS = ("A1", "A2", "A3", "A4", "LONG", "LONG_GENFUN")
@@ -233,27 +262,41 @@ def m_entry_genfun(j, m3, m4) -> ExactScalar:
 # S entries
 # ---------------------------------------------------------------------------
 
-def _s_sum(j, m3, m2, z, factor):
-    """sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} factor(z, m4)."""
-    j, m3, m2 = HalfInt.of(j), HalfInt.of(m3), HalfInt.of(m2)
+def _s_block(j, rows, cols, z, factor) -> list:
+    """[sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} factor(z, m4)] for m3 in rows
+    and m2 in cols.  factor(z, m4) is evaluated once, for the m4 that a
+    nonzero M N term first needs, so it raises only where one entry would."""
+    j = HalfInt.of(j)
     M, N = mn_matrices(j)
-    total = _zero_like(z)
-    for m4 in half_range(-j, j):
-        c = M.get(m3, m4) * N.get(m4, m2)
-        if c:
-            total = total + lift(ExactScalar.i_power(-m4.twice) * c, z) * factor(z, m4)
-    return total
+    m4s = half_range(-j, j)
+    ks = [N.col_index.index(HalfInt.of(m2)) for m2 in cols]
+    fac: dict = {}
+    out = []
+    for m3 in rows:
+        mrow = M.entries[M.row_index.index(HalfInt.of(m3))]
+        row = []
+        for k in ks:
+            total = _zero_like(z)
+            for i, m4 in enumerate(m4s):
+                c = mrow[i] * N.entries[i][k]
+                if c:
+                    if m4 not in fac:
+                        fac[m4] = factor(z, m4)
+                    total = total + lift(ExactScalar.i_power(-m4.twice) * c, z) * fac[m4]
+            row.append(total)
+        out.append(row)
+    return out
 
 
 def s_entry_sum(j, n, m3, m2, z):
     """S^{j,n}_{m3,m2}(z) = sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} Q(z,m4)."""
-    return _s_sum(j, m3, m2, z, q_factor)
+    return _s_block(j, [m3], [m2], z, q_factor)[0][0]
 
 
 def s_norm(j, n, m3, m2, z):
     """Normalized entry script-S = S / S^{(0,n)}_{0,0}: Q replaced by the
     ratio Q(z,m4)/Q(z,0); exact at any rational z for integer-spin blocks."""
-    return _s_sum(j, m3, m2, z, q_ratio)
+    return _s_block(j, [m3], [m2], z, q_ratio)[0][0]
 
 
 def t_norm(n, m, z):
@@ -421,13 +464,13 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
     z = _stage_args(chi)[kind]
     plain = m_set(j, n, (d1, d2))
     swap = m_set(j, n, (d2, d1))
-    try:
+    with _named("stage %s (argument %s)" % (kind, z)):
         if kind == "A1":
             rows, cols = swap, plain
-            ent = [[s_norm(j, n, mr, mc, z) for mc in cols] for mr in rows]
+            ent = _s_block(j, rows, cols, z, q_ratio)
         elif kind == "A3":
             rows, cols = plain, swap
-            ent = [[s_norm(j, n, mr, mc, z) for mc in cols] for mr in rows]
+            ent = _s_block(j, rows, cols, z, q_ratio)
         elif kind == "A2":
             rows = cols = swap
             ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
@@ -438,8 +481,6 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
             raise ValueError("simple_operator kind must be one of A1..A4")
         if not isinstance(z, (int, Fraction)):
             ent = [[require_finite(e) for e in row] for row in ent]
-    except (PoleError, UnsupportedExactInput) as exc:
-        raise type(exc)("stage %s (argument %s): %s" % (kind, z, exc)) from exc
     return BlockMatrix((j, n), rows, cols, ent)
 
 
@@ -466,76 +507,100 @@ def _epsilon_case(j: HalfInt, n: HalfInt, delta) -> int:
 
 def genfun_entry_raw(j, n, delta, m1, m2, lam, order=None) -> ExactScalar:
     """[A(lambda)]^{j,n}_{m1,m2}: the constant (t1,t2) Laurent coefficient
-    of the generating function, assembled as a p-indexed sum of separable
-    terms (the partial-sum form of the 5F4).
+    of the generating function; the 1x1 case of _genfun_raw_block."""
+    if order is None:
+        order = 6 * HalfInt.of(j).as_int() + 6
+    return _genfun_raw_block(j, n, delta, [m1], [m2], lam, order)[0][0]
+
+
+def _genfun_raw_block(j, n, delta, rows, cols, lam, order) -> list:
+    """[genfun_entry_raw(j, n, delta, m1, m2, lam)] for m1 in rows and m2 in
+    cols, assembled as a p-indexed sum of separable terms (the partial-sum
+    form of the 5F4): each term is an m1-only factor times an m2-only factor
+    times a p-only factor, and each factor is built once per block.
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
-    hyperplanes must cancel across the sum, else PoleError.
+    hyperplanes must cancel across the sum, else PoleError.  A PoleError or
+    UnsupportedExactInput names the block and the factor.
     """
-    j, n, m1, m2 = HalfInt.of(j), HalfInt.of(n), HalfInt.of(m1), HalfInt.of(m2)
-    jj, nn, a, b = j.as_int(), n.as_int(), m1.as_int(), m2.as_int()
+    j, n = HalfInt.of(j), HalfInt.of(n)
+    jj, nn = j.as_int(), n.as_int()
     eps = _epsilon_case(j, n, delta)
     l1, l2 = Fraction(lam[0]), Fraction(lam[1])
-    if order is None:
-        order = 6 * jj + 6
     l1j = _jet(l1)
     half = Fraction(1, 2)
+    ps = range(0, jj - eps + 1)
+    with _named("block (%s,%s)" % (j, n)):
+        # p-only: (-1)^p times the lambda1 Pochhammer pair of exponent
+        # (j-n-2p-eps)/2, as an eps jet where that exponent is an integer and
+        # exactly at the A2 argument where it is half-odd
+        z2, base = (l1 + 1) / 2, (l1j + 1) * half
+        p_jet, p_exact = [], []
+        for p in ps:
+            pair_e = Fraction(jj - nn - 2 * p - eps, 2)
+            sgn = Fraction((-1) ** p)
+            if pair_e.denominator == 1:
+                k = int(pair_e)
+                p_jet.append((_jet_poch(base, k) * _jet_poch(base, -k)).inverse() * sgn)
+                p_exact.append(ExactScalar(1))
+            else:
+                p_jet.append(sgn)
+                with _named("stage A2 Pochhammer pair (argument %s)" % z2):
+                    p_exact.append(q_ratio(z2, pair_e))
 
-    f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half,
-                       Fraction(-2 * jj), 1, order, var="t1")
-    f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half,
-                       Fraction(-2 * jj), 1, order, var="t2")
+        # m1-only (rows): the t1 series and, per p, its jet and Gamma factors
+        row_jet, row_gam, row_const = [], [], []
+        for m1 in rows:
+            m1 = HalfInt.of(m1)
+            a = m1.as_int()
+            f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half,
+                               Fraction(-2 * jj), 1, order, var="t1")
+            row_jet.append([_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
+                            * _jet_poch((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps])
+            row_gam.append([gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps])
+            row_const.append(c_factor(j, m1).inverse())
 
-    # entry = const * sum_p [jet factors] * [Gamma-route factors]
-    tpair = q_ratio((l2 + 1) / 2, Fraction(b - nn, 2))
-    const = (ExactScalar(Fraction(math.factorial(2 * jj)) ** 2, 1, -2)
-             / (c_factor(j, m1) * c_factor(j, m2)))
-    # i^{-n+j-2p-eps} = i^{j-n-eps} * (-1)^p: a fixed phase times a sign
-    const = const * ExactScalar.i_power(-nn + b) * ExactScalar.i_power(jj - nn - eps) * tpair
+        # m2-only (cols): the t2 series, the A4 Pochhammer pair and the phase
+        col_jet, col_gam, col_const = [], [], []
+        z4 = (l2 + 1) / 2
+        for m2 in cols:
+            m2 = HalfInt.of(m2)
+            b = m2.as_int()
+            f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half,
+                               Fraction(-2 * jj), 1, order, var="t2")
+            col_jet.append([_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
+                            * _jet_poch((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
+                            for p in ps])
+            col_gam.append([gamma_half(Fraction(1 - eps + jj + b, 2) - p) * p_exact[p] for p in ps])
+            with _named("stage A4 Pochhammer pair (argument %s)" % z4):
+                tpair = q_ratio(z4, Fraction(b - nn, 2))
+            col_const.append(ExactScalar.i_power(-nn + b) * tpair / c_factor(j, m2))
 
-    l1pair_exp_is_int = ((jj - nn - eps) % 2 == 0)
-    buckets: dict = {}
-    for p in range(0, jj - eps + 1):
-        sgn = Fraction((-1) ** p)
-        if eps == 0:
-            pair_e = Fraction(jj - nn - 2 * p, 2)
-            gam = gamma_half(Fraction(1 + jj + b, 2) - p) * gamma_half(Fraction(1 - jj - a, 2) + p)
-            e_dm = (-jj + a) // 2 + p
-            e_dp = (jj - b) // 2 - p
-            bin1 = Fraction(-1 + jj + a, 2) - p
-            bin2 = Fraction(-1 - jj - b, 2) + p
-            n1, n2 = 2 * jj - 2 * p, 2 * p
-        else:
-            pair_e = Fraction(jj - nn - 2 * p - 1, 2)
-            gam = gamma_half(Fraction(jj + b, 2) - p) * gamma_half(Fraction(2 - jj - a, 2) + p)
-            e_dm = (1 - jj + a) // 2 + p
-            e_dp = (jj - b - 1) // 2 - p
-            bin1 = Fraction(-2 + jj + a, 2) - p
-            bin2 = Fraction(-jj - b, 2) + p
-            n1, n2 = 2 * jj - 2 * p - 1, 2 * p + 1
-        c1 = _ct_at(f1, bin1, n1)
-        c2 = _ct_at(f2, bin2, n2)
-        jetpart = c1 * c2 * sgn
-        base = (l1j + 1) * half
-        if l1pair_exp_is_int:
-            k = int(pair_e)
-            jetpart = jetpart * (_jet_poch(base, k) * _jet_poch(base, -k)).inverse()
-            exactpart = gam
-        else:
-            exactpart = gam * q_ratio((l1 + 1) / 2, pair_e)
-        jetpart = jetpart * _jet_poch((l1j - l2) * half, e_dm) * _jet_poch((l1j + l2) * half, e_dp)
-        key = (exactpart.r, exactpart.p, exactpart.im)
-        prev = buckets.get(key)
-        add = jetpart * exactpart.q
-        buckets[key] = add if prev is None else prev + add
-    live = {k: v for k, v in buckets.items() if not v.is_zero()}
-    if not live:
-        return ExactScalar(0)
-    if len(live) > 1:
-        raise AssertionError("generating-function terms span several radical classes")
-    (key, jet), = live.items()
-    rat = _jet_value(jet, "genfun entry (%s,%s) of block (%s,%s)" % (m1, m2, j, n))
-    return const * ExactScalar(rat, key[0], key[1], key[2])
+        # i^{-n+j-2p-eps} = i^{j-n-eps} * (-1)^p: a fixed phase times a sign
+        const = ExactScalar(Fraction(math.factorial(2 * jj)) ** 2, 1, -2) \
+            * ExactScalar.i_power(jj - nn - eps)
+        out = []
+        for m1, rj, rg, rc in zip(rows, row_jet, row_gam, row_const):
+            out_row = []
+            for m2, cj, cg, cc in zip(cols, col_jet, col_gam, col_const):
+                buckets: dict = {}
+                for p in ps:
+                    exactpart = rg[p] * cg[p]
+                    key = (exactpart.r, exactpart.p, exactpart.im)
+                    add = rj[p] * cj[p] * exactpart.q
+                    prev = buckets.get(key)
+                    buckets[key] = add if prev is None else prev + add
+                live = {k: v for k, v in buckets.items() if not v.is_zero()}
+                if not live:
+                    out_row.append(ExactScalar(0))
+                    continue
+                if len(live) > 1:
+                    raise AssertionError("generating-function terms span several radical classes")
+                (key, jet), = live.items()
+                rat = _jet_value(jet, "entry (%s,%s)" % (m1, m2))
+                out_row.append(const * rc * cc * ExactScalar(rat, key[0], key[1], key[2]))
+            out.append(out_row)
+    return out
 
 
 def _ct_at(f: LSeries1, binom_exp: Fraction, shift: int) -> LSeries1:
@@ -557,10 +622,17 @@ def _ct_at(f: LSeries1, binom_exp: Fraction, shift: int) -> LSeries1:
 
 
 def genfun_vs_product(ktype, chi: Character, order=None):
-    """Generating-function entries against the four-factor product.
+    """Long-operator block from the generating function, in the layout of
+    long_operator_product, and its per-block constant.
 
-    Returns (normalized genfun block in product layout, per-block constant);
-    raises if the entry ratio is not one constant across the block.
+    The raw entries are divided by (z_A1)_j (z_A3)_j, with z_A1 and z_A3
+    the A1 and A3 stage arguments.  That constant is a closed form, not
+    derived: it equals the ratio of the raw entries to the product's on
+    every block of j <= 4, |n| <= 4 at eleven characters of both delta
+    classes (345 blocks; the others are poles or zero blocks).  The product
+    is not called here; callers that compare the two routes compare them
+    entry by entry.  Returns (block, constant).  Raises DegenerateBlock when
+    every raw entry is 0, and PoleError when the constant is 0.
     """
     j, n = HalfInt.of(ktype[0]), HalfInt.of(ktype[1])
     delta = tuple(chi.delta)
@@ -570,44 +642,37 @@ def genfun_vs_product(ktype, chi: Character, order=None):
         raise ValueError("generating function requires integer j")
     if not chi.is_exact():
         raise ValueError("generating-function path is exact-only")
-    lam = chi.lam_frac
-    pm = long_operator_product((j, n), chi)
+    jj = j.as_int()
+    args = _stage_args(chi)
+    const = pochhammer(args["A1"], jj) * pochhammer(args["A3"], jj)
+    if const == 0:
+        raise PoleError("block (%s,%s): constant (z_A1)_%d (z_A3)_%d is 0 (arguments %s, %s)"
+                        % (j, n, jj, jj, args["A1"], args["A3"]))
+    const = ExactScalar(const)
     ms = m_set(j, n, delta)
-    ordr = order if order is not None else 6 * j.as_int() + 6
+    ordr = order if order is not None else 6 * jj + 6
     last = None
     for _ in range(4):
         try:
-            raw = [[genfun_entry_raw(j, n, delta, mi, mk, lam, ordr) for mk in ms] for mi in ms]
+            raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam_frac, ordr)
             break
         except TruncationError as exc:   # re-expand and retry
             last = exc
             ordr += 2
     else:
         raise last
-    const = None
-    for i, mi in enumerate(ms):
-        for k, mk in enumerate(ms):
-            g = raw[i][k]
-            p = pm.get(mk, mi)       # the generating function's (m1,m2) layout is the transpose
-            if p.is_zero():
-                if not g.is_zero():
-                    raise AssertionError("genfun nonzero where the product vanishes")
-                continue
-            r = g / p
-            if const is None:
-                const = r
-            elif r != const:
-                raise AssertionError("per-block constant varies: %s vs %s" % (r, const))
-    if const is None or const.is_zero():
-        raise AssertionError("degenerate block (no nonzero product entries)")
+    if all(g.is_zero() for row in raw for g in row):
+        raise DegenerateBlock("degenerate block (%s,%s): every generating-function entry is 0"
+                              % (j, n))
     inv = const.inverse()
+    # the generating function's (m1,m2) layout is the transpose of the product's
     ent = [[raw[k][i] * inv for k in range(len(ms))] for i in range(len(ms))]
     return BlockMatrix((j, n), list(ms), list(ms), ent), const
 
 
 def long_operator_genfun(ktype, chi: Character) -> BlockMatrix:
     """Long-operator block from the two-variable generating function,
-    rescaled by the per-block constant to match long_operator_product."""
+    divided by its closed-form per-block constant (see genfun_vs_product)."""
     bm, _ = genfun_vs_product(ktype, chi)
     return bm
 
@@ -623,17 +688,9 @@ def inversion_check(j, n, delta, z) -> bool:
     d1, d2 = delta
     ms = m_set(j, n, (d2, d1))
     z = Fraction(z)
-    for m1 in ms:
-        for m3 in ms:
-            acc = ExactScalar(0)
-            for m2 in ms:
-                av = s_norm(j, n, m1, m2, z)
-                bv = s_norm(j, n, m2, m3, 1 - z)
-                if not (av.is_zero() or bv.is_zero()):
-                    acc = acc + av * bv
-            if acc != ExactScalar(1 if m1 == m3 else 0):
-                return False
-    return True
+    a = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, z, q_ratio))
+    b = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, 1 - z, q_ratio))
+    return a.matmul(b).is_identity()
 
 
 def mellin_numeric_check(z: float, m, rel_tol: float = 1e-8) -> bool:

@@ -74,6 +74,53 @@ def test_unsupported_exact_input_exit_code(tmp_path, capsys, delta, lam, lam_com
     assert os.listdir(out)
 
 
+def test_genfun_pole_names_block_and_factor(capsys):
+    # the pole is the A4 Pochhammer pair at (lambda2+1)/2 = -1, named by the
+    # generating-function route itself
+    rc = main(["compute", "--kind", "LONG_GENFUN", "--delta", "1,1", "--lambda", "5,-3",
+               "--jmax", "2", "--nmax", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "pole error: block (0,-1): stage A4 Pochhammer pair (argument -1): ")
+
+
+def test_genfun_degenerate_block_exit_code(tmp_path, capsys):
+    rc = main(["compute", "--kind", "LONG_GENFUN", "--delta", "1,1", "--lambda", "7,2",
+               "--jmax", "3", "--nmax", "3", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate block (0,-3): ")
+    assert "--kind LONG" in err
+
+
+def test_compute_verbose_times_blocks(capsys):
+    args = ["compute", "--kind", "LONG_GENFUN", "--delta", "0,0", "--lambda", "9/2,5/2",
+            "--jmax", "1", "--nmax", "1"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert main(args + ["--verbose"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == plain.out and plain.err == ""
+    lines = verbose.err.splitlines()
+    assert [l.split()[:2] for l in lines] == [["block", "(0,0)"], ["block", "(1,-1)"],
+                                              ["block", "(1,0)"], ["block", "(1,1)"]]
+    assert all(re.fullmatch(r"block \(\S+\)  \d+x\d+  \d+\.\d{3}s", l) for l in lines)
+
+
+def test_verify_unsupported_exact_input_exit_code(capsys):
+    # the genfun cells meet a half-odd Pochhammer pair at 11/4: unsupported,
+    # not a failed invariant, so verify exits 2 as compute does
+    rc = main(["verify", "--delta", "1,1", "--lambda", "9/2,5/2", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "FAIL" not in out
+    m = re.search(r"^  genfun +(\d+) cells  unsupported\(genfun-product-j=0-n=1: block \(0,1\): "
+                  r"stage A2 Pochhammer pair \(argument 11/4\): ", out, re.M)
+    summary = re.search(r"^(\d+)/(\d+) cells passed in \d+\.\ds; (\d+) unsupported", out, re.M)
+    assert m and summary
+    assert int(summary.group(2)) - int(summary.group(1)) == int(summary.group(3)) == int(m.group(1))
+
+
 def test_config_error_exit_code():
     with pytest.raises(SystemExit):
         main(["compute", "--delta", "3,0"])

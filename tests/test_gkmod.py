@@ -216,14 +216,16 @@ def test_bracket_homomorphism(rng):
 
 
 def test_casimir_scalar_small():
-    # at lambda = (2,1) the scalar is 0, so an absent diagonal is right
-    lam = (F(2), F(1))
-    chi = Character((0, 0), lam)
-    expect = RSum.of(ExactScalar.of(hc_omega2(lam)))
-    for v in _vectors((0, 0), 2, 2):
-        out = omega2_action(v, chi)
-        assert out.get(v, RSum()) == expect
-        assert all(c.is_zero() for k, c in out.items() if k != v)
+    # at lambda = (2,1) the scalar is 0, so an absent diagonal is right; at
+    # (3,1/2) it is 17/48, so an empty output fails
+    for lam, scalar in (((F(2), F(1)), F(0)), ((F(3), F(1, 2)), F(17, 48))):
+        assert hc_omega2(lam) == scalar
+        chi = Character((0, 0), lam)
+        expect = RSum.of(ExactScalar.of(scalar))
+        for v in _vectors((0, 0), 2, 2):
+            out = omega2_action(v, chi)
+            assert out.get(v, RSum()) == expect
+            assert all(c.is_zero() for k, c in out.items() if k != v)
 
 
 def test_casimir_mixed_delta():

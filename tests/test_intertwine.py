@@ -6,7 +6,8 @@ import pytest
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                          gamma_half, half_range, parse_scalar)
 from sp4ps.gkmod import NONCOMPACT, dr_p_action, m_set
-from sp4ps.intertwine import (BlockMatrix, QuadratureError, block_from_json,
+from sp4ps import intertwine
+from sp4ps.intertwine import (BlockMatrix, DegenerateBlock, QuadratureError, block_from_json,
                               block_to_csv, block_to_json, genfun_entry_raw,
                               genfun_vs_product, hg_entry_ct,
                               inversion_check, long_operator_genfun,
@@ -280,6 +281,57 @@ def test_genfun_delta11_integer_lambda():
         pm = long_operator_product((j, n), chi)
         assert all(gm.entries[i][k] == pm.entries[i][k]
                    for i in range(len(gm.row_index)) for k in range(len(gm.col_index)))
+
+
+def _rising(z, k):
+    out = F(1)
+    for i in range(k):
+        out *= z + i
+    return out
+
+
+def test_genfun_needs_no_product(monkeypatch):
+    # the constant is fixed in advance, (z_A1)_j (z_A3)_j, so the genfun
+    # route never calls the product; the comparison below is then between
+    # two independent computations
+    cases = [(CHI, [(1, 1), (2, 1), (3, 0)]),
+             (Character((1, 1), (F(6), F(4))), [(1, 0), (2, 1)])]
+    got = []
+    with monkeypatch.context() as mp:
+        def no_product(ktype, chi):
+            raise RuntimeError("product called")
+        mp.setattr(intertwine, "long_operator_product", no_product)
+        for chi, kts in cases:
+            l1, l2 = chi.lam_frac
+            for j, n in kts:
+                gm, c = genfun_vs_product((j, n), chi)
+                assert c == ExactScalar(_rising((l1 - l2 + 1) / 2, j) * _rising((l1 + l2 + 1) / 2, j))
+                got.append((chi, (j, n), gm))
+    for chi, kt, gm in got:
+        assert gm.entries == long_operator_product(kt, chi).entries
+
+
+def test_genfun_degenerate_block_is_named():
+    # at lambda = (7,2) the product vanishes on the whole block, and the
+    # generating function's raw entries do too
+    chi = Character((1, 1), (F(7), F(2)))
+    pm = long_operator_product((0, 3), chi)
+    assert all(e.is_zero() for row in pm.entries for e in row)
+    with pytest.raises(DegenerateBlock) as err:
+        genfun_vs_product((0, 3), chi)
+    assert isinstance(err.value, AssertionError)
+    assert str(err.value).startswith("degenerate block (0,3)")
+
+
+def test_genfun_errors_name_block_and_factor():
+    # the A2 pair at (lambda1+1)/2 = 11/4 with a half-odd exponent
+    with pytest.raises(UnsupportedExactInput) as err:
+        genfun_vs_product((1, 0), Character((1, 1), (F(9, 2), F(5, 2))))
+    assert str(err.value).startswith("block (1,0): stage A2 Pochhammer pair (argument 11/4): ")
+    # the constant (z_A1)_2 = (-1)(0) at z_A1 = (lambda1-lambda2+1)/2 = -1
+    with pytest.raises(PoleError) as err:
+        genfun_vs_product((2, 0), Character((0, 0), (F(1, 2), F(7, 2))))
+    assert str(err.value).startswith("block (2,0): constant (z_A1)_2 (z_A3)_2 is 0")
 
 
 def test_genfun_reexpansion_stable():
