@@ -1,7 +1,7 @@
 """Exact intertwining operators and (g,K)-module action for the minimal
 principal series of Sp(4,R)."""
 
-from .exact import (Character, CScalar, ExactScalar, HalfInt,
+from .exact import (Character, ExactScalar, HalfInt,
                     MixedRadicalError, PoleError, UnsupportedExactInput,
                     binomial, gamma_half, parse_scalar, pochhammer)
 from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series

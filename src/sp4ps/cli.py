@@ -2,9 +2,11 @@
 
 Subcommands: ``compute`` (operator blocks to JSON/CSV), ``verify`` (the
 invariant suites, run as independent cells in a thread pool), ``ktypes``
-(multiplicity table) and ``mellin-check`` (quadrature grid).  Exit codes:
-0 success, 1 failed invariant, 2 pole, unsupported exact input, degenerate
-generating-function block or configuration error.
+(multiplicity table) and ``mellin-check`` (quadrature grid).  A ``verify``
+cell is a library ``*_check`` function with its inputs, the check the
+acceptance criteria and unit tests also run, so its tolerance lives in the
+check.  Exit codes: 0 success, 1 failed invariant, 2 pole, unsupported
+exact input, degenerate generating-function block or configuration error.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
-                    half_range)
-from . import exact, gkmod, intertwine, laurent, sp4, wigner
+from .exact import Character, HalfInt, PoleError, UnsupportedExactInput, half_range
+from . import gkmod, intertwine, laurent, sp4, wigner
 
 
 def _parse_lambda(text: str):
@@ -54,323 +55,98 @@ def _seed() -> int:
     return int(env) if env else random.SystemRandom().randrange(2 ** 31)
 
 
-# ---------------------------------------------------------------------------
-# verify suites: each returns a list of (cell-name, callable -> bool), or the
-# reason why it does not apply to the character
-# ---------------------------------------------------------------------------
-
-NEEDS_RATIONAL = "needs rational lambda"
-
-
-def _seeded(seed, name, fn):
-    """A cell whose random inputs come from its own generator, seeded from
-    (seed, cell name) when it runs, so that the seed pins them at any
-    number of jobs."""
-    return name, lambda: fn(random.Random("%d:%s" % (seed, name)))
-
-
-def _cells_wigner(seed, deep):
-    cells = []
-    import numpy as np
-
-    def jacobi_eq(rng):
-        done = 0
-        while done < 50:
-            n = rng.randrange(0, 11)
-            al = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-            be = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-            x = Fraction(rng.randrange(-9, 10), rng.choice([2, 3, 4, 5]))
-            try:
-                a = wigner.jacobi_sum(n, al, be, x)
-                b = wigner.jacobi_hyp(n, al, be, x)
-            except PoleError:
-                continue   # the two definitions degenerate on different sets
-            done += 1
-            if a != b:
-                return False
-        return True
-    cells.append(_seeded(seed, "jacobi-sum-vs-hyp", jacobi_eq))
-
-    def d_vs_jacobi(rng):
-        for tj in range(0, 11):
-            j = HalfInt(tj)
-            for m1 in half_range(-j, j):
-                for m2 in half_range(-j, j):
-                    th = rng.uniform(0.2, math.pi - 0.2)
-                    a = wigner.little_d(j, m1, m2, th)
-                    b = wigner.wigner_via_jacobi(j, m1, m2, th)
-                    if abs(a - b) > 1e-12 * max(1.0, abs(a)):
-                        return False
-        return True
-    cells.append(_seeded(seed, "little-d-vs-jacobi", d_vs_jacobi))
-
-    def unitary_mult(rng):
-        jmax = 3
-        for _ in range(6):
-            ang1 = [rng.uniform(-3, 3) for _ in range(4)]
-            ang2 = [rng.uniform(-3, 3) for _ in range(4)]
-            u1 = wigner.su2_matrix(*ang1)
-            u2 = wigner.su2_matrix(*ang2)
-            for tj in range(0, 2 * jmax + 1):
-                j = HalfInt(tj)
-                n = HalfInt(tj % 2)
-                d1 = wigner.wigner_D_matrix(j, n, u1)
-                d2 = wigner.wigner_D_matrix(j, n, u2)
-                d12 = wigner.wigner_D_matrix(j, n, u1 @ u2)
-                if np.abs(d1 @ d1.conj().T - np.eye(tj + 1)).max() > 1e-10:
-                    return False
-                if np.abs(d1 @ d2 - d12).max() > 1e-10:
-                    return False
-        return True
-    cells.append(_seeded(seed, "unitarity-multiplicativity", unitary_mult))
-
-    def cg_product(rng):
-        for _ in range(20):
-            ang = [rng.uniform(-3, 3) for _ in range(4)]
-            u = wigner.su2_matrix(*ang)
-            ea = wigner.EulerAngles(*wigner.euler_from_u2(u))
-            tj = rng.randrange(0, 7)
-            j1 = HalfInt(tj)
-            n1 = HalfInt(tj % 2)
-            m11 = HalfInt(rng.randrange(-tj, tj + 1, 2))
-            m12 = HalfInt(rng.randrange(-tj, tj + 1, 2))
-            idx1 = wigner.WignerIndex.of(j1, n1, m11, m12)
-            idx2 = wigner.WignerIndex.of(1, 1, rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
-            lhs = wigner.wigner_D(idx1, ea) * wigner.wigner_D(idx2, ea)
-            rhs = 0j
-            for tgt, c in wigner.product_expand(idx1, idx2).items():
-                rhs += c.to_complex() * wigner.wigner_D(tgt, ea)
-            if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
-                return False
-        return True
-    cells.append(_seeded(seed, "cg-product-expansion", cg_product))
-    return cells
-
-
-def _cells_mn(deep):
-    jmax = 6 if deep else 3
-
-    def run(tj):
-        def f():
-            m, n = intertwine.mn_matrices(HalfInt(tj))
-            return m.matmul(n).is_identity()
-        return f
-    return [("mn-inverse-j=%s" % (HalfInt(tj),), run(tj)) for tj in range(0, 2 * jmax + 1)]
-
-
-def _cells_closed_form(deep):
-    jmax = 4 if deep else 3
-    zs = [Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(11, 2)]
-
-    def run(j):
-        def f():
-            for m1 in range(-j, j + 1):
-                for m4 in range(-j, j + 1):
-                    if (m1 - m4) % 2:
-                        continue
-                    for z in zs:
-                        if intertwine.s_entry_3f2(j, 0, m1, m4, z) != intertwine.s_entry_sum(j, 0, m1, m4, z):
-                            return False
-            return True
-        return f
-    return [("closed-form-j=%d" % j, run(j)) for j in range(0, jmax + 1)]
-
-
-def _cells_parity(deep):
-    jmax = 4 if deep else 3
-
-    def run(j):
-        def f():
-            z = Fraction(5, 2)
-            for m3 in range(-j, j + 1):
-                for m2 in range(-j, j + 1):
-                    if (2 * j + m3 - m2) % 2 == 0:
-                        continue
-                    if not intertwine.s_entry_sum(j, 0, m3, m2, z).is_zero():
-                        return False
-            return True
-        return f
-    return [("parity-vanishing-j=%d" % j, run(j)) for j in range(1, jmax + 1)]
-
-
-def _cells_inversion(deep):
-    jmax = 4 if deep else 3
-    zs = [Fraction(7, 2), Fraction(5, 2), Fraction(11, 3)]
-    cells = []
-    for d in ((0, 0), (1, 1)):
-        for j in range(0, jmax + 1):
-            n = j % 2 if d == (0, 0) else (j + 1) % 2
-
-            def f(j=j, n=n, d=d):
-                return all(intertwine.inversion_check(j, n, d, z) for z in zs)
-            cells.append(("inversion-j=%d-delta=%d%d" % (j, d[0], d[1]), f))
-    return cells
-
-
-def _cells_hg(deep):
-    jmax = 3 if deep else 2
-    zs = [Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(11, 2)]
-
-    def run(j):
-        def f():
-            for m1 in range(-j, j + 1):
-                for m2 in range(-j, j + 1):
-                    if (m1 - m2) % 2:
-                        continue
-                    for z in zs:
-                        s = intertwine.s_norm(j, 0, m1, m2, z)
-                        if intertwine.hg_entry_ct("H", j, m1, m2, z) != s:
-                            return False
-                        if intertwine.hg_entry_ct("G", j, m1, m2, z) != s:
-                            return False
-            return True
-        return f
-    return [("hg-genfun-j=%d" % j, run(j)) for j in range(0, jmax + 1)]
-
-
-def _cells_genfun(deep, chi):
-    jmax = 3 if deep else 2
-    cells = []
-    if not chi.is_exact():
-        return NEEDS_RATIONAL
-    if chi.delta not in ((0, 0), (1, 1)):
-        return cells
-    for j in range(0, jmax + 1):
-        for n in (j % 2, (j + 1) % 2) if chi.delta == (0, 0) else ((j + 1) % 2, j % 2):
-            if not gkmod.m_set(j, n, chi.delta):
-                continue
-
-            def f(j=j, n=n):
-                gm, _c = intertwine.genfun_vs_product((j, n), chi)
-                pm = intertwine.long_operator_product((j, n), chi)
-                return all(gm.entries[i][k] == pm.entries[i][k]
-                           for i in range(len(gm.row_index)) for k in range(len(gm.col_index)))
-            cells.append(("genfun-product-j=%d-n=%d" % (j, n), f))
-    return cells
-
-
-def _cells_casimir(deep, chi):
-    """Omega2 acts by hc_omega2(lambda): exactly at rational lambda, and on
-    the float path to 1e-9 * max(1, |scalar|) at complex lambda."""
-    jmax = 4 if deep else 3
-    exact = chi.is_exact()
-    scalar = sp4.hc_omega2(chi.lam_frac if exact else tuple(complex(x) for x in chi.lam))
-    expect, zero = (gkmod.RSum.of(ExactScalar.of(scalar)), gkmod.RSum()) if exact else (scalar, 0j)
-    tol = 1e-9 * max(1.0, abs(scalar))
-
-    def good(c, want):
-        return c == want if exact else abs(c - want) <= tol
-
-    def run(j, n):
-        def f():
-            for m2 in gkmod.m_set(j, n, chi.delta):
-                for m1 in half_range(HalfInt.of(-j), HalfInt.of(j)):
-                    v = wigner.WignerIndex.of(j, n, m1, m2)
-                    out = gkmod.omega2_action(v, chi)
-                    if not good(out.get(v, zero), expect):
-                        return False
-                    if not all(good(c, zero) for k, c in out.items() if k != v):
-                        return False
-            return True
-        return f
-    cells = []
-    for j in range(0, jmax + 1):
-        for n in range(-jmax, jmax + 1):
-            if gkmod.ktype_allowed(j, n, chi.delta) and gkmod.m_set(j, n, chi.delta):
-                cells.append(("casimir-j=%d-n=%d" % (j, n), run(j, n)))
-    return cells
-
-
-def _cells_bracket(seed, deep, chi):
-    if not chi.is_exact():
-        return NEEDS_RATIONAL
-    npairs = 20 if deep else 8
-    labels = ["H1", "H2"] + list(sp4.ALL_ROOTS)
-
-    def random_elem(rng):
-        x = sp4.GMat.zero()
-        for lab in rng.sample(labels, 4):
-            x = x + sp4.chevalley(lab).scale(sp4.Cyc8.of(Fraction(rng.randrange(-3, 4))))
-        return x
-
-    def f(rng):
-        x, y = random_elem(rng), random_elem(rng)
-        br = sp4.bracket(x, y)
-        one = gkmod.RSum.of(1)
-        for tj in range(0, 5):
-            j = tj // 2
-            n = tj % 2
-            if not gkmod.m_set(j, n, chi.delta):
-                continue
-            for m2 in gkmod.m_set(j, n, chi.delta):
-                v = wigner.WignerIndex.of(j, n, j // 2, m2)
-                lhs = gkmod.lc_add(
-                    gkmod.dl_element(x, gkmod.dl_element(y, {v: one}, chi), chi),
-                    gkmod.lc_scale(gkmod.dl_element(y, gkmod.dl_element(x, {v: one}, chi), chi),
-                                   gkmod.RSum.of(-1)))
-                rhs = gkmod.dl_element(br, {v: one}, chi)
-                if gkmod.lc_add(lhs, gkmod.lc_scale(rhs, gkmod.RSum.of(-1))):
-                    return False
-        return True
-    return [_seeded(seed, "bracket-pair-%d" % i, f) for i in range(npairs)]
-
-
-def _cells_iwasawa(seed):
-    cells = []
-    for simple in ("a1", "a2"):
-        def exact_cell(simple=simple):
-            for t in (Fraction(0), Fraction(3, 4), Fraction(5, 12), Fraction(8, 15)):
-                k, h, chi_n = sp4.iwasawa_sl2(simple, t)
-                lhs = sp4.exp_nilpotent(sp4.chevalley("-" + simple).scale(sp4.Cyc8.of(t)))
-                if not (k @ h @ chi_n == lhs):
-                    return False
-            return True
-        cells.append(("iwasawa-exact-%s" % simple, exact_cell))
-
-        def float_cell(rng, simple=simple):
-            import numpy as np
-            from scipy.linalg import expm
-            for _ in range(10):
-                t = rng.uniform(-2, 2)
-                k, h, chi_n = sp4.iwasawa_sl2(simple, t)
-                tgt = expm(t * sp4.chevalley("-" + simple).to_numpy().real)
-                if np.abs(k @ h @ chi_n - tgt).max() > 1e-12:
-                    return False
-            return True
-        cells.append(_seeded(seed, "iwasawa-float-%s" % simple, float_cell))
-    cells.append(("cayley", sp4.cayley_check))
-    return cells
-
-
 # (z, m) points of the inverse-Mellin quadrature check
 MELLIN_GRID = [(z, m) for z in (1.0, 1.5, 2.0, 2.5)
                for m in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))]
 
+NEEDS_RATIONAL = "needs rational lambda"
 
-def _cells_mellin():
-    def run(z, m):
-        return lambda: intertwine.mellin_numeric_check(z, m)
-    return [("mellin-z=%s-m=%s" % (z, m), run(z, m)) for z, m in MELLIN_GRID]
+
+def _little_d_grid(rng):
+    """(j, m1, m2, theta) for every j <= 5, m1 and m2, theta drawn per entry."""
+    return [(j, m1, m2, rng.uniform(0.2, math.pi - 0.2))
+            for j in map(HalfInt, range(11)) for m1 in half_range(-j, j) for m2 in half_range(-j, j)]
+
+
+def _cg_cases(rng, count):
+    """(idx1, idx2, angles): idx1 of spin j <= 3, idx2 of spin 1, angles of
+    a random U(2) element."""
+    cases = []
+    for _ in range(count):
+        u = wigner.su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
+        ea = wigner.EulerAngles(*wigner.euler_from_u2(u))
+        tj = rng.randrange(0, 7)
+        idx1 = wigner.WignerIndex.of(HalfInt(tj), HalfInt(tj % 2), HalfInt(rng.randrange(-tj, tj + 1, 2)),
+                                     HalfInt(rng.randrange(-tj, tj + 1, 2)))
+        idx2 = wigner.WignerIndex.of(1, 1, rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
+        cases.append((idx1, idx2, ea))
+    return cases
+
+
+def _suites(seed, deep, chi):
+    """The verify suites in order: (suite, cells), or (suite, reason) when
+    the suite does not apply to chi.  A cell (name, check, args) passes when
+    check(*args) is true.  A cell with random inputs draws them from its own
+    generator, seeded from (seed, cell name), so the seed pins them at any
+    number of jobs."""
+    def seeded(name, check, draw):
+        return name, check, draw(random.Random("%d:%s" % (seed, name)))
+
+    jmax = 4 if deep else 3
+    zs = [Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(11, 2)]
+    inversion_zs = [Fraction(7, 2), Fraction(5, 2), Fraction(11, 3)]
+    iwasawa_ts = [Fraction(0), Fraction(3, 4), Fraction(5, 12), Fraction(8, 15)]
+    jmax_genfun = 3 if deep else 2        # the generating-function suites
+    rational = chi.is_exact()
+    bracket_vectors = [wigner.WignerIndex.of(j, n, j // 2, m2)
+                       for j, n in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+                       for m2 in gkmod.m_set(j, n, chi.delta)]
+    return [
+        ("wigner", [
+            seeded("jacobi-sum-vs-hyp", wigner.jacobi_check, lambda rng: (rng, 50)),
+            seeded("little-d-vs-jacobi", wigner.little_d_check, lambda rng: (_little_d_grid(rng),)),
+            seeded("unitarity-multiplicativity", wigner.d_matrix_check, lambda rng: (rng, 6, 3)),
+            seeded("cg-product-expansion", wigner.cg_product_check, lambda rng: (_cg_cases(rng, 20),)),
+        ]),
+        ("mn-inverse", [("mn-inverse-j=%s" % HalfInt(tj), intertwine.mn_inverse_check, (HalfInt(tj),))
+                        for tj in range(0, 2 * (6 if deep else 3) + 1)]),
+        ("closed-form", [("closed-form-j=%d" % j, intertwine.closed_form_check, (j, zs))
+                         for j in range(0, jmax + 1)]),
+        ("parity", [("parity-vanishing-j=%d" % j, intertwine.parity_check, (j, Fraction(5, 2)))
+                    for j in range(1, jmax + 1)]),
+        ("inversion", [("inversion-j=%d-delta=%d%d" % (j, d[0], d[1]), intertwine.inversion_check,
+                        (j, j % 2 if d == (0, 0) else (j + 1) % 2, d, inversion_zs))
+                       for d in ((0, 0), (1, 1)) for j in range(0, jmax + 1)]),
+        ("hg", [("hg-genfun-j=%d" % j, intertwine.hg_check, (j, zs)) for j in range(0, jmax_genfun + 1)]),
+        ("genfun", NEEDS_RATIONAL if not rational else [
+            ("genfun-product-j=%d-n=%d" % (j, n), intertwine.genfun_check, ((j, n), chi))
+            for j in range(0, jmax_genfun + 1) if chi.delta in ((0, 0), (1, 1))
+            for n in ((j % 2, (j + 1) % 2) if chi.delta == (0, 0) else ((j + 1) % 2, j % 2))
+            if gkmod.m_set(j, n, chi.delta)]),
+        ("casimir", [("casimir-j=%d-n=%d" % (j, n), gkmod.casimir_check,
+                      (gkmod.ktype_basis(j, n, chi.delta), chi))
+                     for j in range(0, jmax + 1) for n in range(-jmax, jmax + 1)
+                     if gkmod.ktype_allowed(j, n, chi.delta) and gkmod.m_set(j, n, chi.delta)]),
+        ("bracket", NEEDS_RATIONAL if not rational else [
+            seeded("bracket-pair-%d" % i, gkmod.bracket_check,
+                   lambda rng: (sp4.random_element(rng), sp4.random_element(rng), bracket_vectors, chi))
+            for i in range(20 if deep else 8)]),
+        ("iwasawa", [
+            ("iwasawa-exact-a1", sp4.iwasawa_exact_check, ("a1", iwasawa_ts)),
+            seeded("iwasawa-float-a1", sp4.iwasawa_float_check, lambda rng: ("a1", rng, 10)),
+            ("iwasawa-exact-a2", sp4.iwasawa_exact_check, ("a2", iwasawa_ts)),
+            seeded("iwasawa-float-a2", sp4.iwasawa_float_check, lambda rng: ("a2", rng, 10)),
+            ("cayley", sp4.cayley_check, ()),
+        ]),
+        ("mellin", [("mellin-z=%s-m=%s" % (z, m), intertwine.mellin_numeric_check, (z, m))
+                    for z, m in MELLIN_GRID]),
+    ]
 
 
 def cmd_verify(args) -> int:
     seed = _seed()
     print("sp4ps verify  (seed %d)" % seed)
-    chi = Character(args.delta, args.lam)
-    deep = args.deep
-    suites = [
-        ("wigner", _cells_wigner(seed, deep)),
-        ("mn-inverse", _cells_mn(deep)),
-        ("closed-form", _cells_closed_form(deep)),
-        ("parity", _cells_parity(deep)),
-        ("inversion", _cells_inversion(deep)),
-        ("hg", _cells_hg(deep)),
-        ("genfun", _cells_genfun(deep, chi)),
-        ("casimir", _cells_casimir(deep, chi)),
-        ("bracket", _cells_bracket(seed, deep, chi)),
-        ("iwasawa", _cells_iwasawa(seed)),
-        ("mellin", _cells_mellin()),
-    ]
+    suites = _suites(seed, args.deep, Character(args.delta, args.lam))
     t0 = time.time()
     failures = unsupported = total = 0
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -403,9 +179,9 @@ def _run_cell(cell):
     True when the cell raised UnsupportedExactInput, a value this input has
     no exact form for; text is the cell's name, with the exception's type
     and message if it raised."""
-    name, fn = cell
+    name, check, args = cell
     try:
-        return None if fn() else (False, name)
+        return None if check(*args) else (False, name)
     except UnsupportedExactInput as exc:
         return True, "%s: %s" % (name, exc)
     except Exception as exc:
@@ -432,7 +208,7 @@ def cmd_compute(args) -> int:
         if kind == "LONG":
             bm = intertwine.long_operator_product((j, n), chi)
         elif kind == "LONG_GENFUN":
-            bm, _c = intertwine.genfun_vs_product((j, n), chi, order=args.trunc_order)
+            bm, _c = intertwine.genfun_vs_product((j, n), chi)
         else:
             bm = intertwine.simple_operator(kind, (j, n), chi)
         blocks.append(bm)
@@ -472,30 +248,37 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sp4ps", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, lam_default="9/2,5/2"):
+    def delta(p):
         p.add_argument("--delta", type=_parse_delta, default=(0, 0),
                        help="discrete parameter, e.g. 0,0")
-        p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=_parse_lambda(lam_default),
+
+    def lam(p):
+        p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=_parse_lambda("9/2,5/2"),
                        help="continuous parameter: rationals p/q,p/q or complex re+imi")
+
+    def window(p):
         p.add_argument("--jmax", type=Fraction, default=Fraction(2))
         p.add_argument("--nmax", type=Fraction, default=Fraction(2))
 
     pv = sub.add_parser("verify", help="run the invariant suites")
-    common(pv)
+    delta(pv)
+    lam(pv)
     pv.add_argument("--deep", action="store_true", help="raise bounds to j<=4/6 per suite")
     pv.add_argument("--jobs", type=int, default=4)
     pv.set_defaults(func=cmd_verify)
 
     pk = sub.add_parser("ktypes", help="K-type multiplicity table")
-    common(pk)
+    delta(pk)
+    window(pk)
     pk.set_defaults(func=cmd_ktypes)
 
     pc = sub.add_parser("compute", help="compute operator blocks")
-    common(pc)
+    delta(pc)
+    lam(pc)
+    window(pc)
     pc.add_argument("--kind", default="LONG", help="|".join(intertwine.KINDS))
     pc.add_argument("--out", default=None, help="output directory")
     pc.add_argument("--format", choices=("json", "csv"), default="json")
-    pc.add_argument("--trunc-order", dest="trunc_order", type=int, default=None)
     pc.add_argument("--verbose", action="store_true",
                     help="print each block's K-type, size and seconds to stderr")
     pc.set_defaults(func=cmd_compute)
@@ -520,6 +303,9 @@ def main(argv=None) -> int:
         print("%s; --kind LONG computes this block by the four-stage product" % exc,
               file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("invariant failed: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, laurent.TruncationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -33,10 +33,6 @@ class MixedRadicalError(ArithmeticError):
     """Addition of two exact scalars whose radical parts differ."""
 
 
-# Complex floating-point fallback type ("CScalar" in interface docs).
-CScalar = complex
-
-
 def require_finite(z: complex) -> complex:
     """Reject NaN/Inf results on the float path: a Gamma evaluated at its
     pole, so a PoleError like its exact counterpart."""

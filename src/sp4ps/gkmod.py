@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import sp4
 from .exact import Character, ExactScalar, HalfInt, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
@@ -85,6 +86,12 @@ def ktypes(delta, j_max, n_max) -> list[tuple[HalfInt, HalfInt, int]]:
             if mult:
                 out.append((j, n, mult))
     return out
+
+
+def ktype_basis(j, n, delta) -> list[WignerIndex]:
+    """The basis vectors of the K-type (j,n): m2 over m_set, m1 over -j..j."""
+    j = HalfInt.of(j)
+    return [WignerIndex.of(j, n, m1, m2) for m2 in m_set(j, n, delta) for m1 in half_range(-j, j)]
 
 
 def check_index(v: WignerIndex, delta) -> bool:
@@ -544,6 +551,46 @@ def omega2_action(v: WignerIndex, chi: Character) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# checks of the module structure (verify and the tests call these)
+# ---------------------------------------------------------------------------
+
+def casimir_check(vectors, chi: Character) -> bool:
+    """omega2_action maps each basis vector v to hc_omega2(lambda) v:
+    exactly at rational lambda; at complex lambda the diagonal and every
+    other coefficient are within 1e-9 * max(1, |scalar|) of it and of 0.
+    The diagonal must be present unless the scalar is 0."""
+    exact = chi.is_exact()
+    scalar = sp4.hc_omega2(chi.lam_frac if exact else tuple(complex(x) for x in chi.lam))
+    expect, zero = (RSum.of(ExactScalar.of(scalar)), RSum()) if exact else (scalar, 0j)
+    tol = 1e-9 * max(1.0, abs(scalar))
+
+    def good(c, want):
+        return c == want if exact else abs(c - want) <= tol
+
+    for v in vectors:
+        out = omega2_action(v, chi)
+        if not good(out.get(v, zero), expect):
+            return False
+        if not all(good(c, zero) for k, c in out.items() if k != v):
+            return False
+    return True
+
+
+def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
+    """dl is a Lie algebra homomorphism on the pair: dl(x) dl(y) v -
+    dl(y) dl(x) v = dl([x,y]) v exactly for each basis vector v (rational
+    lambda)."""
+    br = sp4.bracket(x, y)
+    one, minus = RSum.of(1), RSum.of(-1)
+    for v in vectors:
+        lhs = lc_add(dl_element(x, dl_element(y, {v: one}, chi), chi),
+                     lc_scale(dl_element(y, dl_element(x, {v: one}, chi), chi), minus))
+        if lc_add(lhs, lc_scale(dl_element(br, {v: one}, chi), minus)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # JSON export of an action matrix
 # ---------------------------------------------------------------------------
 
@@ -554,15 +601,13 @@ def action_matrix_json(beta, delta, lam, j_max, n_max) -> list[dict]:
     chi = Character(tuple(delta), tuple(lam))
     rows = []
     for (j, n, _mult) in ktypes(delta, j_max, n_max):
-        for m2 in m_set(j, n, delta):
-            for m1 in half_range(-j, j):
-                v = WignerIndex.of(j, n, m1, m2)
-                for tgt, coeff in sorted(dl_p_action(beta, v, chi).items(),
-                                         key=lambda kv: (kv[0].j.twice, kv[0].n.twice,
-                                                         kv[0].m1.twice, kv[0].m2.twice)):
-                    rows.append({
-                        "from": [str(j), str(n), str(m1), str(m2)],
-                        "to": [str(tgt.j), str(tgt.n), str(tgt.m1), str(tgt.m2)],
-                        "coeff": str(coeff.as_exact()),
-                    })
+        for v in ktype_basis(j, n, delta):
+            for tgt, coeff in sorted(dl_p_action(beta, v, chi).items(),
+                                     key=lambda kv: (kv[0].j.twice, kv[0].n.twice,
+                                                     kv[0].m1.twice, kv[0].m2.twice)):
+                rows.append({
+                    "from": [str(v.j), str(v.n), str(v.m1), str(v.m2)],
+                    "to": [str(tgt.j), str(tgt.n), str(tgt.m1), str(tgt.m2)],
+                    "coeff": str(coeff.as_exact()),
+                })
     return rows

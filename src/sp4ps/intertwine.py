@@ -12,7 +12,7 @@ operators, and the constant term of a two-variable generating function,
 divided by the per-block constant (z_A1)_j (z_A3)_j.  That constant is a
 closed form checked against the product over a stated range (see
 genfun_vs_product), not derived, so the genfun route runs without the
-product and the two are compared entry by entry by their callers.  Both
+product and genfun_check compares the two entry by entry.  Both
 routes compute a block as a whole: a factor that depends on one index only
 (a row, a column, an m4 or a p) is built once per block.
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                     binomial, gamma_half, half_range, lift, pochhammer, require_finite)
 from .gkmod import m_set
-from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
+from .laurent import LSeries1, binom_series, hyp2f1_series
 from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
 
 
@@ -505,15 +505,13 @@ def _epsilon_case(j: HalfInt, n: HalfInt, delta) -> int:
     return 0 if ((j - n).as_int() - delta[0]) % 2 == 0 else 1
 
 
-def genfun_entry_raw(j, n, delta, m1, m2, lam, order=None) -> ExactScalar:
+def genfun_entry_raw(j, n, delta, m1, m2, lam) -> ExactScalar:
     """[A(lambda)]^{j,n}_{m1,m2}: the constant (t1,t2) Laurent coefficient
     of the generating function; the 1x1 case of _genfun_raw_block."""
-    if order is None:
-        order = 6 * HalfInt.of(j).as_int() + 6
-    return _genfun_raw_block(j, n, delta, [m1], [m2], lam, order)[0][0]
+    return _genfun_raw_block(j, n, delta, [m1], [m2], lam)[0][0]
 
 
-def _genfun_raw_block(j, n, delta, rows, cols, lam, order) -> list:
+def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     """[genfun_entry_raw(j, n, delta, m1, m2, lam)] for m1 in rows and m2 in
     cols, assembled as a p-indexed sum of separable terms (the partial-sum
     form of the 5F4): each term is an m1-only factor times an m2-only factor
@@ -521,7 +519,8 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam, order) -> list:
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
     hyperplanes must cancel across the sum, else PoleError.  A PoleError or
-    UnsupportedExactInput names the block and the factor.
+    UnsupportedExactInput names the block and the factor.  The t1 and t2
+    series are read only up to t^{2j}, so they are built to that order.
     """
     j, n = HalfInt.of(j), HalfInt.of(n)
     jj, nn = j.as_int(), n.as_int()
@@ -530,6 +529,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam, order) -> list:
     l1j = _jet(l1)
     half = Fraction(1, 2)
     ps = range(0, jj - eps + 1)
+    order = 2 * jj
     with _named("block (%s,%s)" % (j, n)):
         # p-only: (-1)^p times the lambda1 Pochhammer pair of exponent
         # (j-n-2p-eps)/2, as an eps jet where that exponent is an integer and
@@ -621,7 +621,7 @@ def _ct_at(f: LSeries1, binom_exp: Fraction, shift: int) -> LSeries1:
     return acc if isinstance(acc, LSeries1) else _jet_const(Fraction(acc))
 
 
-def genfun_vs_product(ktype, chi: Character, order=None):
+def genfun_vs_product(ktype, chi: Character):
     """Long-operator block from the generating function, in the layout of
     long_operator_product, and its per-block constant.
 
@@ -630,8 +630,8 @@ def genfun_vs_product(ktype, chi: Character, order=None):
     derived: it equals the ratio of the raw entries to the product's on
     every block of j <= 4, |n| <= 4 at eleven characters of both delta
     classes (345 blocks; the others are poles or zero blocks).  The product
-    is not called here; callers that compare the two routes compare them
-    entry by entry.  Returns (block, constant).  Raises DegenerateBlock when
+    is not called here; genfun_check compares the two routes entry by
+    entry.  Returns (block, constant).  Raises DegenerateBlock when
     every raw entry is 0, and PoleError when the constant is 0.
     """
     j, n = HalfInt.of(ktype[0]), HalfInt.of(ktype[1])
@@ -650,17 +650,7 @@ def genfun_vs_product(ktype, chi: Character, order=None):
                         % (j, n, jj, jj, args["A1"], args["A3"]))
     const = ExactScalar(const)
     ms = m_set(j, n, delta)
-    ordr = order if order is not None else 6 * jj + 6
-    last = None
-    for _ in range(4):
-        try:
-            raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam_frac, ordr)
-            break
-        except TruncationError as exc:   # re-expand and retry
-            last = exc
-            ordr += 2
-    else:
-        raise last
+    raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam_frac)
     if all(g.is_zero() for row in raw for g in row):
         raise DegenerateBlock("degenerate block (%s,%s): every generating-function entry is 0"
                               % (j, n))
@@ -678,25 +668,79 @@ def long_operator_genfun(ktype, chi: Character) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# inversion identity and the Mellin check
+# checks: two routes compared on the given inputs (verify and the tests call
+# these; exact unless a tolerance is stated)
 # ---------------------------------------------------------------------------
 
-def inversion_check(j, n, delta, z) -> bool:
+def mn_inverse_check(j) -> bool:
+    """M N = identity on the spin-j block."""
+    m, n = mn_matrices(j)
+    return m.matmul(n).is_identity()
+
+
+def closed_form_check(j: int, zs) -> bool:
+    """s_entry_3f2 = s_entry_sum on every entry (m1, m4), m1 = m4 mod 2, of
+    the block (j, 0) at each half-integer z."""
+    for m1 in range(-j, j + 1):
+        for m4 in range(-j, j + 1):
+            if (m1 - m4) % 2:
+                continue
+            for z in zs:
+                if s_entry_3f2(j, 0, m1, m4, z) != s_entry_sum(j, 0, m1, m4, z):
+                    return False
+    return True
+
+
+def parity_check(j: int, z) -> bool:
+    """S^{j,0}_{m3,m2}(z) = 0 on every entry with 2j + m3 - m2 odd."""
+    for m3 in range(-j, j + 1):
+        for m2 in range(-j, j + 1):
+            if (2 * j + m3 - m2) % 2 and not s_entry_sum(j, 0, m3, m2, z).is_zero():
+                return False
+    return True
+
+
+def hg_check(j: int, zs) -> bool:
+    """[H]_0 = [G]_0 = s_norm on every entry (m1, m2), m1 = m2 mod 2, of the
+    block (j, 0) at each half-integer z."""
+    for m1 in range(-j, j + 1):
+        for m2 in range(-j, j + 1):
+            if (m1 - m2) % 2:
+                continue
+            for z in zs:
+                s = s_norm(j, 0, m1, m2, z)
+                if hg_entry_ct("H", j, m1, m2, z) != s or hg_entry_ct("G", j, m1, m2, z) != s:
+                    return False
+    return True
+
+
+def genfun_check(ktype, chi: Character) -> bool:
+    """The generating-function block, with its constant fixed in advance,
+    equals long_operator_product entry by entry, and the constant is not 0."""
+    gm, const = genfun_vs_product(ktype, chi)
+    pm = long_operator_product(ktype, chi)
+    return (not const.is_zero() and (gm.row_index, gm.col_index) == (pm.row_index, pm.col_index)
+            and gm.entries == pm.entries)
+
+
+def inversion_check(j, n, delta, zs) -> bool:
     """sum_{m2} script-S_{m1,m2}(z) script-S_{m2,m3}(1-z) = delta_{m1,m3}
-    over the delta-swapped parity set."""
+    over the delta-swapped parity set, at each rational z."""
     j, n = HalfInt.of(j), HalfInt.of(n)
     d1, d2 = delta
     ms = m_set(j, n, (d2, d1))
-    z = Fraction(z)
-    a = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, z, q_ratio))
-    b = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, 1 - z, q_ratio))
-    return a.matmul(b).is_identity()
+    for z in map(Fraction, zs):
+        a = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, z, q_ratio))
+        b = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, 1 - z, q_ratio))
+        if not a.matmul(b).is_identity():
+            return False
+    return True
 
 
-def mellin_numeric_check(z: float, m, rel_tol: float = 1e-8) -> bool:
+def mellin_numeric_check(z: float, m) -> bool:
     """Quadrature of int_0^1 x^{z-1} cos(2m arcsin sqrt(1-x))/sqrt(x(1-x)) dx
-    against q_factor(z,m); the substitution x = sin^2 u removes the endpoint
-    singularities."""
+    against q_factor(z,m) to 1e-8 * max(1, |Q|); the substitution
+    x = sin^2 u removes the endpoint singularities."""
     from scipy.integrate import quad
     if z <= 0.5:
         raise ValueError("need z > 1/2 for absolute convergence")
@@ -714,7 +758,7 @@ def mellin_numeric_check(z: float, m, rel_tol: float = 1e-8) -> bool:
         q = q_factor(zf, m).to_complex().real
     else:
         q = q_factor(complex(z), float(m)).real
-    return abs(val - q) <= rel_tol * max(1.0, abs(q))
+    return abs(val - q) <= 1e-8 * max(1.0, abs(q))
 
 
 # ---------------------------------------------------------------------------

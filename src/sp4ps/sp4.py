@@ -245,6 +245,16 @@ def chevalley(label: str) -> GMat:
     return _CHEV_POS[label]
 
 
+def random_element(rng) -> GMat:
+    """A random element of sp(4,R): four distinct vectors of the Chevalley
+    basis (H1, H2 and the root vectors), each with an integer coefficient
+    in [-3, 3]."""
+    x = GMat.zero()
+    for lab in rng.sample(["H1", "H2"] + list(ALL_ROOTS), 4):
+        x = x + chevalley(lab).scale(Cyc8.of(Fraction(rng.randrange(-3, 4))))
+    return x
+
+
 def root_on_h(label: str) -> tuple[int, int]:
     """alpha as a linear functional (c1, c2) with alpha(t1 H1 + t2 H2) = c1 t1 + c2 t2."""
     base = {"a1": (1, -1), "a2": (0, 2), "a1+a2": (1, 1), "2a1+a2": (2, 0)}
@@ -426,6 +436,29 @@ def iwasawa_sl2(simple: str, t):
     ha = np.diag([v ** e for e in pattern])
     chi = expm((t / h2) * x)
     return kappa, ha, chi
+
+
+def iwasawa_exact_check(simple: str, ts) -> bool:
+    """The exact Iwasawa factors multiply back to exp(t X_{-alpha})
+    (nilpotent series) at each rational t with 1+t^2 a square."""
+    for t in ts:
+        k, h, chi_n = iwasawa_sl2(simple, t)
+        if not (k @ h @ chi_n == exp_nilpotent(chevalley("-" + simple).scale(Cyc8.of(t)))):
+            return False
+    return True
+
+
+def iwasawa_float_check(simple: str, rng, count: int) -> bool:
+    """The float Iwasawa factors multiply back to exp(t X_{-alpha})
+    (scipy expm) to 1e-12 at `count` random t in [-2, 2]."""
+    import numpy as np
+    from scipy.linalg import expm
+    for _ in range(count):
+        t = rng.uniform(-2, 2)
+        k, h, chi_n = iwasawa_sl2(simple, t)
+        if np.abs(k @ h @ chi_n - expm(t * chevalley("-" + simple).to_numpy().real)).max() > 1e-12:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -409,3 +409,72 @@ def wigner_D_matrix(j, n, u):
     ms = half_range(-j, j)
     ang = EulerAngles(z, psi, th, ph)
     return np.array([[wigner_D(WignerIndex.of(j, n, a, b), ang) for b in ms] for a in ms])
+
+
+# ---------------------------------------------------------------------------
+# checks: two computations compared on the given inputs (verify and the tests
+# call these; the tolerances are the ones both use)
+# ---------------------------------------------------------------------------
+
+def jacobi_check(rng, count: int) -> bool:
+    """jacobi_sum = jacobi_hyp exactly at `count` random points: degree
+    n <= 10, rational alpha, beta and x.  A point where a definition
+    degenerates (PoleError) is drawn again."""
+    done = 0
+    while done < count:
+        n = rng.randrange(0, 11)
+        al = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+        be = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+        x = Fraction(rng.randrange(-9, 10), rng.choice([2, 3, 4, 5]))
+        try:
+            a = jacobi_sum(n, al, be, x)
+            b = jacobi_hyp(n, al, be, x)
+        except PoleError:
+            continue   # the two definitions degenerate on different sets
+        done += 1
+        if a != b:
+            return False
+    return True
+
+
+def little_d_check(cases) -> bool:
+    """little_d = wigner_via_jacobi to 1e-12 * max(1, |d|) at each
+    (j, m1, m2, theta), theta a float."""
+    for j, m1, m2, th in cases:
+        a = little_d(j, m1, m2, th)
+        if abs(a - wigner_via_jacobi(j, m1, m2, th)) > 1e-12 * max(1.0, abs(a)):
+            return False
+    return True
+
+
+def d_matrix_check(rng, count: int, j_max) -> bool:
+    """For `count` random pairs u1, u2 in U(2) and every j <= j_max (with
+    n = 2j mod 2): D(u1) is unitary and D(u1) D(u2) = D(u1 u2), to 1e-10."""
+    import numpy as np
+    for _ in range(count):
+        u1 = su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
+        u2 = su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
+        for tj in range(0, HalfInt.of(j_max).twice + 1):
+            j, n = HalfInt(tj), HalfInt(tj % 2)
+            d1 = wigner_D_matrix(j, n, u1)
+            d2 = wigner_D_matrix(j, n, u2)
+            d12 = wigner_D_matrix(j, n, u1 @ u2)
+            if np.abs(d1 @ d1.conj().T - np.eye(tj + 1)).max() > 1e-10:
+                return False
+            if np.abs(d1 @ d2 - d12).max() > 1e-10:
+                return False
+    return True
+
+
+def cg_product_check(cases) -> bool:
+    """W_idx1 W_idx2 = sum of the product_expand coefficients times W at
+    their targets, to 1e-10 * max(1, |lhs|), at each (idx1, idx2, angles)
+    with float angles."""
+    for idx1, idx2, ea in cases:
+        lhs = wigner_D(idx1, ea) * wigner_D(idx2, ea)
+        rhs = 0j
+        for tgt, c in product_expand(idx1, idx2).items():
+            rhs += c.to_complex() * wigner_D(tgt, ea)
+        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
+            return False
+    return True

@@ -126,6 +126,26 @@ def test_config_error_exit_code():
         main(["compute", "--delta", "3,0"])
 
 
+def test_options_a_subcommand_does_not_read_are_rejected(capsys):
+    for argv in (["compute", "--trunc-order", "9"], ["verify", "--jmax", "1"],
+                 ["ktypes", "--lambda", "1,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_failed_invariant_is_named_and_exits_1(capsys, monkeypatch):
+    def mixed(*args):
+        raise AssertionError("generating-function terms span several radical classes")
+    monkeypatch.setattr(intertwine, "_genfun_raw_block", mixed)
+    rc = main(["compute", "--kind", "LONG_GENFUN", "--delta", "0,0", "--lambda", "9/2,5/2",
+               "--jmax", "1", "--nmax", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "invariant failed: generating-function terms span several radical classes\n")
+
+
 def test_mellin_command():
     assert main(["mellin-check"]) == 0
 
@@ -165,7 +185,7 @@ def test_float_pole_exit_code(capsys):
 
 
 def test_verify_reports_raising_cell(capsys, monkeypatch):
-    def boom(z, m, rel_tol=1e-8):
+    def boom(z, m):
         raise RuntimeError("quadrature exploded")
     monkeypatch.setattr(intertwine, "mellin_numeric_check", boom)
     # a complex lambda skips the genfun and bracket suites

@@ -10,15 +10,16 @@ import pytest
 from scipy.linalg import expm
 
 from sp4ps import gkmod
-from sp4ps.exact import Character, ExactScalar, HalfInt, half_range
+from sp4ps.exact import Character, ExactScalar, HalfInt
 from sp4ps.gkmod import (DecompositionError, NoncompactLabel, RSum,
-                         action_matrix_json, check_index, chevalley_element,
-                         compact_root_element, cyc8_to_rsum, dl_element,
-                         dl_k_action, dl_p_action, dl_word, dr_p_action,
-                         gmat_to_element, ktype_allowed, ktypes, lc_add,
-                         lc_scale, m_set, omega2_action)
-from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, bracket, chevalley, hc_omega2,
-                       omega2_words, u2_generators, u_beta)
+                         action_matrix_json, bracket_check, casimir_check,
+                         check_index, chevalley_element, compact_root_element,
+                         cyc8_to_rsum, dl_element, dl_k_action, dl_p_action,
+                         dl_word, dr_p_action, gmat_to_element, ktype_allowed,
+                         ktype_basis, ktypes, lc_add, lc_scale, m_set,
+                         omega2_action)
+from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, chevalley, hc_omega2, omega2_words,
+                       random_element, u2_generators, u_beta)
 from sp4ps.wigner import WignerIndex, euler_from_u2, wigner_D, EulerAngles
 
 CHI = Character((0, 0), (F(5, 2), F(3, 2)))
@@ -26,10 +27,7 @@ CHI = Character((0, 0), (F(5, 2), F(3, 2)))
 
 def _vectors(delta, j_max, n_max):
     """Every basis vector of the K-types with j <= j_max, |n| <= n_max."""
-    return [WignerIndex.of(j, n, m1, m2)
-            for (j, n, _mult) in ktypes(delta, j_max, n_max)
-            for m2 in m_set(j, n, delta)
-            for m1 in half_range(-j, j)]
+    return [v for (j, n, _mult) in ktypes(delta, j_max, n_max) for v in ktype_basis(j, n, delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +194,10 @@ def test_catalog_decomposition_against_matrices():
 
 
 def test_bracket_homomorphism(rng):
-    labels = ["H1", "H2"] + list(ALL_ROOTS)
-    one = RSum.of(1)
+    vecs = [WignerIndex.of(*t) for t in [(0, 0, 0, 0), (1, 1, 0, 1), (2, 0, 1, 0)]]
     for _ in range(20):
-        x = GMat.zero()
-        y = GMat.zero()
-        for lab in rng.sample(labels, 4):
-            x = x + chevalley(lab).scale(Cyc8.of(F(rng.randrange(-3, 4))))
-        for lab in rng.sample(labels, 4):
-            y = y + chevalley(lab).scale(Cyc8.of(F(rng.randrange(-3, 4))))
-        br = bracket(x, y)
-        for (j, n, m1, m2) in [(0, 0, 0, 0), (1, 1, 0, 1), (2, 0, 1, 0)]:
-            v = WignerIndex.of(j, n, m1, m2)
-            lhs = lc_add(
-                dl_element(x, dl_element(y, {v: one}, CHI), CHI),
-                lc_scale(dl_element(y, dl_element(x, {v: one}, CHI), CHI), RSum.of(-1)))
-            rhs = dl_element(br, {v: one}, CHI)
-            assert not lc_add(lhs, lc_scale(rhs, RSum.of(-1)))
+        x, y = random_element(rng), random_element(rng)
+        assert bracket_check(x, y, vecs, CHI)
 
 
 def test_casimir_scalar_small():
@@ -220,25 +205,15 @@ def test_casimir_scalar_small():
     # (3,1/2) it is 17/48, so an empty output fails
     for lam, scalar in (((F(2), F(1)), F(0)), ((F(3), F(1, 2)), F(17, 48))):
         assert hc_omega2(lam) == scalar
-        chi = Character((0, 0), lam)
-        expect = RSum.of(ExactScalar.of(scalar))
-        for v in _vectors((0, 0), 2, 2):
-            out = omega2_action(v, chi)
-            assert out.get(v, RSum()) == expect
-            assert all(c.is_zero() for k, c in out.items() if k != v)
+        assert casimir_check(_vectors((0, 0), 2, 2), Character((0, 0), lam))
 
 
 def test_casimir_mixed_delta():
     # the action tables never reference delta, so the scalar holds on the
     # half-integer-spin module too
-    lam = (F(3), F(2))
-    chi = Character((0, 1), lam)
-    expect = RSum.of(ExactScalar.of(hc_omega2(lam)))
     v = WignerIndex.of(F(3, 2), F(1, 2), F(1, 2), F(1, 2))
     assert check_index(v, (0, 1))
-    out = omega2_action(v, chi)
-    assert out[v] == expect
-    assert all(c.is_zero() for k, c in out.items() if k != v)
+    assert casimir_check([v], Character((0, 1), (F(3), F(2))))   # scalar 2/3
 
 
 def _random_action(tag):
@@ -419,10 +394,7 @@ def test_module_layer_outputs_pinned():
     y = _chevalley_sum((-3, 1, 2, 1, -1, -2, 3, -1, 2, 1))
     got = {}
     for name, chi in MODULE_CHARS.items():
-        vecs = [WignerIndex.of(j, n, m1, m2)
-                for (j, n, _mult) in ktypes(chi.delta, 1, 1)
-                for m2 in m_set(j, n, chi.delta)
-                for m1 in half_range(-j, j)]
+        vecs = _vectors(chi.delta, 1, 1)
         one = RSum.of(1) if chi.is_exact() else 1 + 0j
         got[(name, "omega2")] = _lc_digest(omega2_action(v, chi) for v in vecs)
         got[(name, "nested")] = _lc_digest(

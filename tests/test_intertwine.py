@@ -8,12 +8,12 @@ from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, Unsupported
 from sp4ps.gkmod import NONCOMPACT, dr_p_action, m_set
 from sp4ps import intertwine
 from sp4ps.intertwine import (BlockMatrix, DegenerateBlock, QuadratureError, block_from_json,
-                              block_to_csv, block_to_json, genfun_entry_raw,
-                              genfun_vs_product, hg_entry_ct,
+                              block_to_csv, block_to_json, closed_form_check,
+                              genfun_check, genfun_vs_product, hg_check,
                               inversion_check, long_operator_genfun,
                               long_operator_product, m_entry_genfun,
-                              mellin_numeric_check, mn_matrices, q_factor,
-                              q_ratio, s_entry_3f2, s_entry_sum, s_norm,
+                              mellin_numeric_check, mn_inverse_check, mn_matrices,
+                              q_factor, q_ratio, s_entry_3f2, s_entry_sum, s_norm,
                               simple_operator, t_norm)
 from sp4ps.wigner import WignerIndex, little_d
 
@@ -80,8 +80,8 @@ def test_t_norm():
 def test_mn_inverse_and_genfun_oracle():
     for tj in range(0, 9):       # j <= 4 including half-integers
         j = HalfInt(tj)
-        M, N = mn_matrices(j)
-        assert M.matmul(N).is_identity()
+        assert mn_inverse_check(j)
+        M, _N = mn_matrices(j)
         for m3 in half_range(-j, j):
             for m4 in half_range(-j, j):
                 assert m_entry_genfun(j, m3, m4) == M.get(m3, m4)
@@ -119,12 +119,7 @@ def test_s_entry_values_single_radical():
 
 def test_closed_form_matches_sum():
     for j in range(0, 4):
-        for m1 in range(-j, j + 1):
-            for m4 in range(-j, j + 1):
-                if (m1 - m4) % 2:
-                    continue
-                for z in (F(3, 2), F(5, 2), F(11, 2)):
-                    assert s_entry_3f2(j, 0, m1, m4, z) == s_entry_sum(j, 0, m1, m4, z)
+        assert closed_form_check(j, [F(3, 2), F(5, 2), F(11, 2)])
 
 
 def test_closed_form_float_path():
@@ -190,14 +185,7 @@ def test_s_norm():
 
 def test_hg_generating_functions():
     for j in range(0, 4):
-        for m1 in range(-j, j + 1):
-            for m2 in range(-j, j + 1):
-                if (m1 - m2) % 2:
-                    continue
-                for z in (F(3, 2), F(7, 2)):
-                    s = s_norm(j, 0, m1, m2, z)
-                    assert hg_entry_ct("H", j, m1, m2, z) == s
-                    assert hg_entry_ct("G", j, m1, m2, z) == s
+        assert hg_check(j, [F(3, 2), F(7, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +226,15 @@ def test_long_operator_product():
 
 
 def test_inversion_identity():
-    assert inversion_check(0, 0, (0, 0), F(7, 2))
-    assert inversion_check(2, 0, (0, 0), F(7, 2))
-    assert inversion_check(3, 1, (1, 1), F(5, 2))
-    assert inversion_check(3, 0, (0, 0), F(11, 3))     # generic rational z
+    assert inversion_check(0, 0, (0, 0), [F(7, 2)])
+    assert inversion_check(2, 0, (0, 0), [F(7, 2)])
+    assert inversion_check(3, 1, (1, 1), [F(5, 2)])
+    assert inversion_check(3, 0, (0, 0), [F(11, 3)])     # generic rational z
 
 
 def test_genfun_equivalence_both_parities():
     for (j, n) in [(1, 1), (2, 1), (2, 2), (0, 0)]:
-        gm, c = genfun_vs_product((j, n), CHI)
-        pm = long_operator_product((j, n), CHI)
-        assert gm.row_index == pm.row_index
-        for i in range(len(gm.row_index)):
-            for k in range(len(gm.col_index)):
-                assert gm.entries[i][k] == pm.entries[i][k]
-        assert not c.is_zero()
+        assert genfun_check((j, n), CHI)
 
 
 def test_half_integer_spin_blocks():
@@ -277,10 +259,7 @@ def test_half_integer_spin_blocks():
 def test_genfun_delta11_integer_lambda():
     chi = Character((1, 1), (F(6), F(4)))
     for (j, n) in [(1, 0), (2, 1)]:
-        gm, _c = genfun_vs_product((j, n), chi)
-        pm = long_operator_product((j, n), chi)
-        assert all(gm.entries[i][k] == pm.entries[i][k]
-                   for i in range(len(gm.row_index)) for k in range(len(gm.col_index)))
+        assert genfun_check((j, n), chi)
 
 
 def _rising(z, k):
@@ -332,13 +311,6 @@ def test_genfun_errors_name_block_and_factor():
     with pytest.raises(PoleError) as err:
         genfun_vs_product((2, 0), Character((0, 0), (F(1, 2), F(7, 2))))
     assert str(err.value).startswith("block (2,0): constant (z_A1)_2 (z_A3)_2 is 0")
-
-
-def test_genfun_reexpansion_stable():
-    lam = CHI.lam_frac
-    a = genfun_entry_raw(2, 1, (0, 0), 1, -1, lam)
-    b = genfun_entry_raw(2, 1, (0, 0), 1, -1, lam, order=6 * 2 + 8)
-    assert a == b
 
 
 def test_long_genfun_endpoint():

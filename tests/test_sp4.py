@@ -7,9 +7,9 @@ from scipy.linalg import expm
 
 from sp4ps.sp4 import (ALL_ROOTS, CY_I, Cyc8, GMat, H1, H2, bracket,
                        cayley_check, chevalley, chi_alpha, coroot_matrix,
-                       decompose_chevalley, exp_nilpotent, gamma_element,
+                       decompose_chevalley, gamma_element,
                        h_alpha, hc_omega2, hc_omega4, in_sp4, is_symplectic,
-                       iwasawa_sl2, m_group, omega2_words, root_on_h,
+                       iwasawa_exact_check, iwasawa_float_check, iwasawa_sl2, m_group, omega2_words, root_on_h,
                        symplectic_inverse, theta_algebra, theta_group,
                        u2_generators, u_beta, v_beta, weyl_on_lambda,
                        weyl_reflection)
@@ -106,13 +106,11 @@ def test_omega2_words_shape():
 
 
 def test_iwasawa_exact():
+    ts = [F(0), F(3, 4), F(5, 12), F(8, 15)]
     for simple in ("a1", "a2"):
-        for t in (F(0), F(3, 4), F(5, 12), F(8, 15)):
-            k, h, chi_n = iwasawa_sl2(simple, t)
-            target = exp_nilpotent(chevalley("-" + simple).scale(Cyc8.of(t)))
-            assert k @ h @ chi_n == target
-            for g in (k, h, chi_n):
-                assert is_symplectic(g)
+        assert iwasawa_exact_check(simple, ts)
+        for t in ts:
+            assert all(is_symplectic(g) for g in iwasawa_sl2(simple, t))
     # worked numbers at t = 3/4: h carries 5/4, chi carries 12/25
     k, h, chi_n = iwasawa_sl2("a1", F(3, 4))
     assert h == h_alpha("a1", F(5, 4))
@@ -123,11 +121,7 @@ def test_iwasawa_exact():
 
 def test_iwasawa_float(rng):
     for simple in ("a1", "a2"):
-        for _ in range(10):
-            t = rng.uniform(-2.0, 2.0)
-            k, h, chi_n = iwasawa_sl2(simple, t)
-            tgt = expm(t * chevalley("-" + simple).to_numpy().real)
-            assert np.abs(k @ h @ chi_n - tgt).max() < 1e-12
+        assert iwasawa_float_check(simple, rng, 10)
 
 
 def test_weyl_conjugation_keeps_nilradical():

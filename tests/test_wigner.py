@@ -8,10 +8,11 @@ from scipy.linalg import expm
 
 from sp4ps.exact import ExactScalar, HalfInt, half_range
 from sp4ps.wigner import (EulerAngles, OutOfRange, WignerIndex, c_factor,
-                          clebsch_gordan_j1, dl_gamma, dr_gamma,
-                          euler_from_u2, jacobi_genfun_check, jacobi_hyp,
-                          jacobi_sum, little_d, product_expand, su2_matrix,
-                          wigner_D, wigner_D_matrix, wigner_via_jacobi)
+                          cg_product_check, clebsch_gordan_j1, d_matrix_check,
+                          dl_gamma, dr_gamma, euler_from_u2, jacobi_check,
+                          jacobi_genfun_check, jacobi_hyp, jacobi_sum,
+                          little_d, little_d_check, product_expand,
+                          su2_matrix, wigner_D, wigner_via_jacobi)
 
 _G = {
     "g0": np.array([[0.5j, 0], [0, 0.5j]]),
@@ -45,19 +46,7 @@ def test_jacobi_hyp_examples():
 
 
 def test_jacobi_sum_equals_hyp(rng):
-    done = 0
-    while done < 50:
-        n = rng.randrange(0, 11)
-        al = F(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-        be = F(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-        x = F(rng.randrange(-9, 10), rng.choice([2, 3, 4, 5]))
-        try:
-            a = jacobi_sum(n, al, be, x)
-            b = jacobi_hyp(n, al, be, x)
-        except Exception:
-            continue
-        done += 1
-        assert a == b, (n, al, be, x)
+    assert jacobi_check(rng, 50)
 
 
 def test_jacobi_genfun_check():
@@ -119,28 +108,17 @@ def test_wigner_via_jacobi_matches_little_d(rng):
                 if (m1 + m2).as_int() >= 0:
                     assert wigner_via_jacobi(j, m1, m2, F(1)) == little_d(j, m1, m2, F(1))
     # float tolerance on interior angles
+    cases = []
     for _ in range(60):
         tj = rng.randrange(0, 11)
-        j = HalfInt(tj)
         m1 = HalfInt(rng.randrange(-tj, tj + 1, 2) if tj else 0)
         m2 = HalfInt(rng.randrange(-tj, tj + 1, 2) if tj else 0)
-        th = rng.uniform(0.15, math.pi - 0.15)
-        a = little_d(j, m1, m2, th)
-        b = wigner_via_jacobi(j, m1, m2, th)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        cases.append((HalfInt(tj), m1, m2, rng.uniform(0.15, math.pi - 0.15)))
+    assert little_d_check(cases)
 
 
 def test_unitarity_and_multiplicativity(rng):
-    for _ in range(4):
-        u1 = su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
-        u2 = su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
-        for tj in range(0, 7):
-            j, n = HalfInt(tj), HalfInt(tj % 2)
-            d1 = wigner_D_matrix(j, n, u1)
-            d2 = wigner_D_matrix(j, n, u2)
-            d12 = wigner_D_matrix(j, n, u1 @ u2)
-            assert np.abs(d1 @ d1.conj().T - np.eye(tj + 1)).max() < 1e-10
-            assert np.abs(d1 @ d2 - d12).max() < 1e-10
+    assert d_matrix_check(rng, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +176,17 @@ def test_product_expand_trivial_and_stretched():
 
 
 def test_product_expand_pointwise(rng):
+    cases = []
     for _ in range(20):
         u = su2_matrix(*[rng.uniform(-3, 3) for _ in range(4)])
         ea = EulerAngles(*euler_from_u2(u))
         tj = rng.randrange(0, 7)
-        j1, n1 = HalfInt(tj), HalfInt(tj % 2)
         m11 = HalfInt(rng.randrange(-tj, tj + 1, 2) if tj else 0)
         m12 = HalfInt(rng.randrange(-tj, tj + 1, 2) if tj else 0)
-        idx1 = WignerIndex.of(j1, n1, m11, m12)
+        idx1 = WignerIndex.of(HalfInt(tj), HalfInt(tj % 2), m11, m12)
         idx2 = WignerIndex.of(1, 1, rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
-        lhs = wigner_D(idx1, ea) * wigner_D(idx2, ea)
-        rhs = sum(c.to_complex() * wigner_D(t, ea) for t, c in product_expand(idx1, idx2).items())
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        cases.append((idx1, idx2, ea))
+    assert cg_product_check(cases)
 
 
 # ---------------------------------------------------------------------------
