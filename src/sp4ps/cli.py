@@ -98,8 +98,11 @@ def _suites(seed, deep, chi):
     iwasawa_ts = [Fraction(0), Fraction(3, 4), Fraction(5, 12), Fraction(8, 15)]
     jmax_genfun = 3 if deep else 2        # the generating-function suites
     rational = chi.is_exact()
-    bracket_vectors = [wigner.WignerIndex.of(j, n, j // 2, m2)
-                       for j, n in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+    # the K-types with j + n <= 2, 0 <= n <= 1 that delta allows; m1 is j//2
+    # at integer j and 1/2 at j = 1/2, 3/2
+    bracket_vectors = [wigner.WignerIndex.of(j, n, j.frac - (j.frac + 1) // 2, m2)
+                       for j, n, _ in gkmod.ktypes(chi.delta, 2, 1)
+                       if 0 <= n.frac and j.frac + n.frac <= 2
                        for m2 in gkmod.m_set(j, n, chi.delta)]
     return [
         ("wigner", [
@@ -123,10 +126,9 @@ def _suites(seed, deep, chi):
             for j in range(0, jmax_genfun + 1) if chi.delta in ((0, 0), (1, 1))
             for n in ((j % 2, (j + 1) % 2) if chi.delta == (0, 0) else ((j + 1) % 2, j % 2))
             if gkmod.m_set(j, n, chi.delta)]),
-        ("casimir", [("casimir-j=%d-n=%d" % (j, n), gkmod.casimir_check,
+        ("casimir", [("casimir-j=%s-n=%s" % (j, n), gkmod.casimir_check,
                       (gkmod.ktype_basis(j, n, chi.delta), chi))
-                     for j in range(0, jmax + 1) for n in range(-jmax, jmax + 1)
-                     if gkmod.ktype_allowed(j, n, chi.delta) and gkmod.m_set(j, n, chi.delta)]),
+                     for j, n, _ in gkmod.ktypes(chi.delta, jmax, jmax)]),
         ("bracket", NEEDS_RATIONAL if not rational else [
             seeded("bracket-pair-%d" % i, gkmod.bracket_check,
                    lambda rng: (sp4.random_element(rng), sp4.random_element(rng), bracket_vectors, chi))
@@ -151,8 +153,8 @@ def cmd_verify(args) -> int:
     failures = unsupported = total = 0
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for name, cells in suites:
-            if isinstance(cells, str):
-                print("  %-12s skipped (%s)" % (name, cells))
+            if not cells or isinstance(cells, str):
+                print("  %-12s skipped (%s)" % (name, cells or "no cells at delta=%d,%d" % args.delta))
                 continue
             t_suite = time.time()
             total += len(cells)

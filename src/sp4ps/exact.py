@@ -423,6 +423,32 @@ def binomial(n, k: int):
     return num / math.factorial(k)
 
 
+def hyp_terms(tops, bots, arg, kmax: int) -> list:
+    """The terms prod(tops)^(k)/prod(bots)^(k) * arg^k / k! for k = 0..kmax,
+    in the arithmetic of the parameters (Fraction, epsilon jet or complex).
+
+    Once a top parameter reaches 0 every later term is 0; a bottom parameter
+    that reaches 0 first raises PoleError.
+    """
+    terms = [Fraction(1)]
+    for k in range(kmax):
+        tops_k = [t + k for t in tops]
+        # an epsilon jet compares unequal to 0: z + eps + k never vanishes
+        if any(f == 0 for f in tops_k):
+            return terms + [Fraction(0)] * (kmax - k)
+        den = Fraction(k + 1)
+        for b in bots:
+            d = b + k
+            if d == 0:
+                raise PoleError("hypergeometric bottom parameter %s hits 0 at k=%d" % (b, k))
+            den = den * d
+        ratio = arg / den
+        for f in tops_k:
+            ratio = ratio * f
+        terms.append(terms[-1] * ratio)
+    return terms
+
+
 def hyp_terminating(tops, bots, arg, kmax: int):
     """Sum_{k=0}^{kmax} prod(tops)^(k)/prod(bots)^(k) * arg^k / k!.
 
@@ -437,27 +463,4 @@ def hyp_terminating(tops, bots, arg, kmax: int):
         if t in bots:
             tops.remove(t)
             bots.remove(t)
-    total = _one_like(arg) * 0
-    term = _one_like(arg)
-    for k in range(kmax + 1):
-        total = total + term
-        if k == kmax:
-            break
-        num = _one_like(arg)
-        dead = False
-        for t in tops:
-            f = t + k
-            num = num * f
-            if _is_exact_number(f) and f == 0:
-                dead = True
-        if dead:
-            break
-        den = _one_like(arg)
-        for b in bots:
-            f = b + k
-            if _is_exact_number(f) and f == 0:
-                raise PoleError(
-                    "hypergeometric bottom parameter %s hits 0 at k=%d" % (b, k))
-            den = den * f
-        term = term * num / den * arg / (k + 1)
-    return total
+    return sum(hyp_terms(tops, bots, arg, kmax))

@@ -3,9 +3,12 @@
 The rank-one building blocks are the scalar integrals Q(z,nu), the
 change-of-basis matrices M, N (Wigner D-values at quarter-turn angles), and
 the simple-operator entries S (finite sum over M N Q, or the terminating
-3F2 closed form).  Normalized entries are rational in the spectral
-parameter up to one fixed radical, so the default computations are exact at
-any rational lambda.
+3F2 at 1, a Hahn polynomial in z).  Normalized entries are rational in the
+spectral parameter up to one fixed radical, so the default computations are
+exact at any rational lambda.  Every hypergeometric sum and series here
+takes its terms from ``exact.hyp_terms``; a generating function in t is a
+list of coefficients (``laurent``), read one coefficient of a product at a
+time.
 
 The long operator has two routes: the product A4 A3 A2 A1 of the simple
 operators, and the constant term of a two-variable generating function,
@@ -35,9 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
-                    binomial, gamma_half, half_range, lift, pochhammer, require_finite)
+                    gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite)
 from .gkmod import m_set
-from .laurent import LSeries1, binom_series, hyp2f1_series
+from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
 from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
 
 
@@ -247,13 +250,9 @@ def m_entry_genfun(j, m3, m4) -> ExactScalar:
     generating-function route used to cross-check mn_matrices."""
     j, m3, m4 = HalfInt.of(j), HalfInt.of(m3), HalfInt.of(m4)
     tj = (j + j).as_int()
-    order = tj + 1
-    e1, e2 = (j - m3).as_int(), (j + m3).as_int()
-    f1 = LSeries1("t", 0, [binomial(Fraction(e1), k) * Fraction(1, 2 ** k)
-                           for k in range(order + 1)], order)
-    f2 = LSeries1("t", 0, [binomial(Fraction(e2), k) * Fraction((-1) ** k, 2 ** k)
-                           for k in range(order + 1)], order)
-    ct = (f1 * f2).coeff((j - m4).as_int())
+    f1 = binom_series((j - m3).as_int(), Fraction(1, 2), tj)
+    f2 = binom_series((j + m3).as_int(), Fraction(-1, 2), tj)
+    ct = product_coeff(f1, f2, (j - m4).as_int())
     phase = ExactScalar.i_power((m4 - m3).as_int()) * ExactScalar((-1) ** tj)
     return (c_factor(j, m4) / c_factor(j, m3)) * phase * _two_pow(-m4) * ExactScalar.of(ct)
 
@@ -317,20 +316,15 @@ _JET_HI = 4
 
 
 def _jet(z0) -> LSeries1:
-    return LSeries1("eps", 0, [Fraction(z0), Fraction(1)], _JET_HI)
-
-
-def _jet_const(c) -> LSeries1:
-    return LSeries1("eps", 0, [c], _JET_HI)
+    return LSeries1(0, [Fraction(z0), Fraction(1)], _JET_HI)
 
 
 def _jet_poch(base: LSeries1, e: int) -> LSeries1:
+    out = LSeries1(0, [Fraction(1)], _JET_HI)
     if e >= 0:
-        out = _jet_const(Fraction(1))
         for i in range(e):
             out = out * (base + i)
         return out
-    out = _jet_const(Fraction(1))
     for i in range(1, -e + 1):
         out = out * (base - i)
     return out.inverse()
@@ -338,11 +332,9 @@ def _jet_poch(base: LSeries1, e: int) -> LSeries1:
 
 def _jet_value(total: LSeries1, what: str) -> Fraction:
     for e in range(total.min_exp, 0):
-        c = total.coeff(e)
-        if not ((isinstance(c, int) and c == 0) or c == 0):
+        if total.coeff(e):
             raise PoleError("%s has a genuine pole (eps^%d survives)" % (what, e))
-    v = total.coeff(0)
-    return Fraction(v) if isinstance(v, int) else v
+    return total.coeff(0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,33 +368,24 @@ def s_entry_3f2(j, n, m1, m4, z):
         return _s00(z) * _s_norm_closed_exact(j, m1, m4, z)
     from scipy.special import gamma as cgamma
     jj, a, b = j.as_int(), m1.as_int(), m4.as_int()
-    kmax = min(jj + a, jj - b)
-    f, term = 0j, 1 + 0j
-    for k in range(kmax + 1):
-        f += term
-        if k == kmax:
-            break
-        term *= (-jj + z - 1 + k) * (-jj - a + k) * (b - jj + k)
-        term /= (-2 * jj + k) * (float(-jj - Fraction(a - b, 2)) + 0.5 + k) * (k + 1)
+    f = sum(hyp_terms(*_s_3f2_params(jj, a, b, complex(z)), 1, min(jj + a, jj - b)))
     pref = (-1) ** ((a + b) // 2) * math.factorial(2 * jj) * math.pi \
         / (c_factor(j, m1).to_complex() * c_factor(j, m4).to_complex())
     return pref * cgamma((2 * z - a + b - 1) / 2) / (cgamma((-2 * jj - a + b + 1) / 2) * cgamma(jj + z)) * f
 
 
+def _s_3f2_params(jj: int, a: int, b: int, z) -> tuple:
+    """Top and bottom parameters of the 3F2 at 1 in the closed-form S entry
+    (a Hahn polynomial in z)."""
+    return ([z - jj - 1, Fraction(-jj - a), Fraction(b - jj)],
+            [Fraction(-2 * jj), Fraction(1 - 2 * jj - a + b, 2)])
+
+
 def _s_norm_closed_exact(j: HalfInt, m1: HalfInt, m2: HalfInt, z: Fraction) -> ExactScalar:
     jj, a, b = j.as_int(), m1.as_int(), m2.as_int()
-    kmax = min(jj + a, jj - b)
     zj = _jet(z)
     pref = _jet_poch(zj - Fraction(1, 2), -((a - b) // 2)) * _jet_poch(zj, jj).inverse()
-    total = _jet_const(Fraction(0))
-    coef = _jet_const(Fraction(1))
-    for k in range(kmax + 1):
-        total = total + coef * _jet_poch(zj - jj - 1, k)
-        if k == kmax:
-            break
-        num = Fraction((-jj - a + k) * (-jj + b + k))
-        den = Fraction(-2 * jj + k) * (Fraction(1 - 2 * jj - a + b, 2) + k) * (k + 1)
-        coef = coef * (num / den)
+    total = sum(hyp_terms(*_s_3f2_params(jj, a, b, zj), 1, min(jj + a, jj - b)))
     rat = _jet_value(pref * total, "closed-form S at z=%s" % z)
     ghalf = gamma_half(Fraction(1 - 2 * jj - a + b, 2))
     const = (ExactScalar(Fraction((-1) ** ((a + b) // 2) * math.factorial(2 * jj)), 1, 1)
@@ -430,10 +413,7 @@ def hg_entry_ct(which: str, j, m1, m2, z) -> ExactScalar:
     else:
         raise ValueError("which must be 'H' or 'G'")
     f = hyp2f1_series(Fraction(fa), zj - 1 - jj, Fraction(-2 * jj), 1, npow)
-    g = binom_series(fpar, -1, npow)
-    ct = (f * g).coeff(npow)
-    if not isinstance(ct, LSeries1):
-        ct = _jet_const(Fraction(ct))
+    ct = product_coeff(f, binom_series(fpar, -1, npow), npow)
     pref = _jet_poch(zj - Fraction(1, 2), -((a - b) // 2)) * _jet_poch(zj, jj).inverse()
     rat = _jet_value(pref * ct, "[%s]_0 at z=%s" % (which, z))
     const = (ExactScalar(Fraction((-1) ** npow * math.factorial(2 * jj) * fac), 1, -1)
@@ -512,10 +492,11 @@ def genfun_entry_raw(j, n, delta, m1, m2, lam) -> ExactScalar:
 
 
 def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
-    """[genfun_entry_raw(j, n, delta, m1, m2, lam)] for m1 in rows and m2 in
-    cols, assembled as a p-indexed sum of separable terms (the partial-sum
-    form of the 5F4): each term is an m1-only factor times an m2-only factor
-    times a p-only factor, and each factor is built once per block.
+    """[A(lambda)]^{j,n}_{m1,m2} for m1 in rows and m2 in cols: the constant
+    (t1,t2) Laurent coefficient of the generating function, assembled as a
+    p-indexed sum of separable terms (the partial-sum form of the 5F4): each
+    term is an m1-only factor times an m2-only factor times a p-only factor,
+    and each factor is built once per block.
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
     hyperplanes must cancel across the sum, else PoleError.  A PoleError or
@@ -554,7 +535,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
             m1 = HalfInt.of(m1)
             a = m1.as_int()
             f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half,
-                               Fraction(-2 * jj), 1, order, var="t1")
+                               Fraction(-2 * jj), 1, order)
             row_jet.append([_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
                             * _jet_poch((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps])
             row_gam.append([gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps])
@@ -567,7 +548,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
             m2 = HalfInt.of(m2)
             b = m2.as_int()
             f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half,
-                               Fraction(-2 * jj), 1, order, var="t2")
+                               Fraction(-2 * jj), 1, order)
             col_jet.append([_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
                             * _jet_poch((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
                             for p in ps])
@@ -603,22 +584,9 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     return out
 
 
-def _ct_at(f: LSeries1, binom_exp: Fraction, shift: int) -> LSeries1:
-    """Coefficient of t^shift in (1-t)^{binom_exp} * f(t), as an eps jet."""
-    if shift < 0:
-        return _jet_const(Fraction(0))
-    g = binom_series(binom_exp, -1, shift, var=f.var)
-    acc = None
-    for k in range(shift + 1):
-        av = f.coeff(k)
-        bv = g.coeff(shift - k)
-        if (isinstance(av, int) and av == 0) or bv == 0:
-            continue
-        t = av * bv
-        acc = t if acc is None else acc + t
-    if acc is None:
-        return _jet_const(Fraction(0))
-    return acc if isinstance(acc, LSeries1) else _jet_const(Fraction(acc))
+def _ct_at(f: list, binom_exp: Fraction, shift: int):
+    """Coefficient of t^shift in (1-t)^{binom_exp} * f(t)."""
+    return product_coeff(f, binom_series(binom_exp, -1, shift), shift)
 
 
 def genfun_vs_product(ktype, chi: Character):

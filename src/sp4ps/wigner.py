@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .exact import (ExactScalar, HalfInt, PoleError, binomial, half_range,
                     hyp_terminating, lift, pochhammer)
+from .laurent import binom_series, product_coeff
 
 
 class OutOfRange(ValueError):
@@ -356,19 +357,16 @@ def dl_gamma(gen: str, idx: WignerIndex) -> dict:
 def jacobi_genfun_check(alpha: int, beta: int, x, order: int) -> bool:
     """Does (1+(x+1)t/2)^alpha (1+(x-1)t/2)^beta match
     sum_n P^{(alpha-n,beta-n)}_n(x) t^n through the given order?"""
-    from .laurent import LSeries1
     x = Fraction(x)
-    c1, c2 = (x + 1) / 2, (x - 1) / 2
-    f1 = LSeries1("t", 0, [binomial(Fraction(alpha), k) * c1 ** k for k in range(order + 1)], order)
-    f2 = LSeries1("t", 0, [binomial(Fraction(beta), k) * c2 ** k for k in range(order + 1)], order)
-    prod = f1 * f2
+    f1 = binom_series(alpha, (x + 1) / 2, order)
+    f2 = binom_series(beta, (x - 1) / 2, order)
     for nn in range(order + 1):
         # the two definitions degenerate on complementary parameter sets
         try:
             expect = jacobi_sum(nn, Fraction(alpha - nn), Fraction(beta - nn), x)
         except PoleError:
             expect = jacobi_hyp(nn, Fraction(alpha - nn), Fraction(beta - nn), x)
-        if prod.coeff(nn) != expect:
+        if product_coeff(f1, f2, nn) != expect:
             return False
     return True
 

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from sp4ps import gkmod, intertwine, sp4
-from sp4ps.cli import MELLIN_GRID, main
+from sp4ps.cli import MELLIN_GRID, _suites, main
+from sp4ps.exact import Character
 from sp4ps.gkmod import NONCOMPACT, action_matrix_json
 from sp4ps.intertwine import KINDS, block_from_json
 
@@ -217,6 +218,24 @@ def test_verify_float_casimir_cell_fails_on_wrong_scalar(capsys, monkeypatch):
     summary = re.search(r"^(\d+)/(\d+) cells passed", out, re.M)
     assert m and summary
     assert int(summary.group(2)) - int(summary.group(1)) == int(m.group(1))
+
+
+def test_verify_mixed_delta_checks_casimir_and_bracket(capsys, monkeypatch):
+    # at delta=(0,1) every K-type has half-odd j: the Casimir and bracket
+    # cells must be built from those K-types, and genfun does not apply
+    suites = dict(_suites(5, False, Character((0, 1), (F(7, 2), F(1, 2)))))
+    vectors = suites["bracket"][0][2][2]
+    assert vectors and all(gkmod.check_index(v, (0, 1)) for v in vectors)
+    assert suites["casimir"] and all(check is gkmod.casimir_check and args[0]
+                                     for _name, check, args in suites["casimir"])
+    monkeypatch.setattr(sp4, "hc_omega2", lambda lam: F(1, 2))
+    rc = main(["verify", "--delta", "0,1", "--lambda", "7/2,1/2", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert re.search(r"^  genfun +skipped \(", out, re.M)
+    assert re.search(r"^  casimir +%d cells  FAIL\(casimir-j=1/2-n=-5/2," % len(suites["casimir"]),
+                     out, re.M)
+    assert re.search(r"^  bracket +%d cells  pass " % len(suites["bracket"]), out, re.M)
 
 
 def test_verify_seed_pins_draws_at_any_jobs(capsys, monkeypatch):

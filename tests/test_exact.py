@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sp4ps.exact import (Character, ExactScalar, HalfInt, MixedRadicalError,
                          PoleError, binomial, gamma_half, half_range,
-                         hyp_terminating, parse_scalar, pochhammer)
+                         hyp_terminating, hyp_terms, parse_scalar, pochhammer)
+from sp4ps.intertwine import _jet, _jet_poch
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,56 @@ def test_hyp_terminating_cancels_equal_params():
     assert v == w
     with pytest.raises(PoleError):
         hyp_terminating([F(1, 2)], [F(-2)], F(1), 5)
+
+
+def _rf_term(tops, bots, arg, k) -> F:
+    """prod(tops)^(k)/prod(bots)^(k) * arg^k / k! through sympy's rf."""
+    import sympy
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    v = q(arg) ** k / sympy.factorial(k)
+    for a in tops:
+        v *= sympy.rf(q(a), k)
+    for b in bots:
+        v /= sympy.rf(q(b), k)
+    return F(int(v.p), int(v.q))
+
+
+def test_hyp_terms_matches_rising_factorials(rng):
+    for _ in range(40):
+        tops = [F(rng.randrange(-6, 7), rng.choice([1, 2, 3])) for _ in range(rng.randrange(0, 4))]
+        bots = [F(2 * rng.randrange(-6, 7) + 1, 2) for _ in range(rng.randrange(0, 3))]
+        arg = F(rng.randrange(-5, 6), rng.randrange(1, 5))
+        kmax = rng.randrange(0, 9)
+        assert hyp_terms(tops, bots, arg, kmax) == [_rf_term(tops, bots, arg, k)
+                                                    for k in range(kmax + 1)]
+
+
+def test_hyp_terms_terminates_before_a_bottom_dies():
+    # the top -2 stops the series before the bottom -4 reaches 0
+    terms = hyp_terms([F(-2), F(1, 3)], [F(-4)], F(3, 2), 7)
+    assert terms[:3] == [_rf_term([F(-2), F(1, 3)], [F(-4)], F(3, 2), k) for k in range(3)]
+    assert terms[2] != 0 and terms[3:] == [0] * 5
+    # a top and a bottom reaching 0 at the same step: the top wins
+    assert hyp_terms([F(-1)], [F(-1)], F(1), 4) == [1, 1, 0, 0, 0]
+
+
+def test_hyp_terms_pole_when_a_bottom_dies_first():
+    with pytest.raises(PoleError):
+        hyp_terms([F(-5), F(1, 2)], [F(-2)], F(1), 6)
+    # a bottom reaching 0 at k = kmax is never divided by
+    assert len(hyp_terms([F(-5)], [F(-2)], F(1), 2)) == 3
+
+
+def test_hyp_terms_with_an_epsilon_jet_parameter():
+    zj = _jet(F(7, 3))
+    rest, bots, arg = [F(-4)], [F(5, 2)], F(2, 3)
+    terms = hyp_terms([zj - 3] + rest, bots, arg, 6)
+    for k, t in enumerate(terms):
+        want = _jet_poch(zj - 3, k) * _rf_term(rest, bots, arg, k)
+        assert (want - t).is_zero()
 
 
 # ---------------------------------------------------------------------------
