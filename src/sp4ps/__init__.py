@@ -1,8 +1,7 @@
 """Exact intertwining operators and (g,K)-module action for the minimal
 principal series of Sp(4,R)."""
 
-from .exact import (Character, ExactScalar, HalfInt,
-                    MixedRadicalError, PoleError, UnsupportedExactInput,
+from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                     binomial, gamma_half, parse_scalar, pochhammer)
 from .laurent import LSeries1, TruncationError, binom_series, hyp2f1_series
 from .wigner import (EulerAngles, OutOfRange, WignerIndex, clebsch_gordan_j1,

@@ -29,16 +29,18 @@ def _parse_lambda(text: str):
     if len(parts) != 2:
         raise ValueError("lambda must be two comma-separated values")
     out = []
-    exact_ok = True
     for p in parts:
         p = p.strip()
         try:
             out.append(Fraction(p))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in lambda part %r" % p) from None
         except ValueError:
-            exact_ok = False
-            out.append(complex(p.replace("i", "j")))
-    if not exact_ok:
+            out.append(complex(p[:-1] + "j" if p.endswith("i") else p))
+    if not all(isinstance(x, Fraction) for x in out):
         out = [complex(x) for x in out]
+        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in out):
+            raise ValueError("lambda parts must be finite, got %r" % text)
     return tuple(out)
 
 
@@ -204,6 +206,12 @@ def cmd_compute(args) -> int:
     kind = args.kind
     if kind not in intertwine.KINDS:
         raise ValueError("kind must be one of %s" % (intertwine.KINDS,))
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print("error: cannot write to %s: %s" % (args.out, exc), file=sys.stderr)
+            return 2
     blocks = []
     for (j, n, _mult) in gkmod.ktypes(args.delta, args.jmax, args.nmax):
         t = time.perf_counter()
@@ -217,8 +225,6 @@ def cmd_compute(args) -> int:
         if args.verbose:
             print("block (%s,%s)  %dx%d  %.3fs" % (j, n, len(bm.row_index), len(bm.col_index),
                                                  time.perf_counter() - t), file=sys.stderr)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     for bm in blocks:
         j, n = bm.ktype
         if args.format == "json":

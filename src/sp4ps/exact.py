@@ -1,16 +1,16 @@
 """Closed exact scalar arithmetic shared by every other module.
 
-The scalar system is deliberately small: every exact quantity that shows up
-in the operator computations is of the form
+Every exact quantity in the module action and the operator computations is
+a finite sum of radical monomials
 
     q * sqrt(r) * pi^(p/2) * i^k
 
 with q rational, r a positive squarefree integer, p an integer and k in
 {0,1} (the sign of q supplies the other half of the 4-cycle of i-powers).
-``ExactScalar`` closes this set under multiplication; addition is only
-defined when the radical parts agree, and a mismatch raises instead of
-coercing.  The complex floating-point fallback is plain ``complex``; an
-exact constant enters a float computation only through ``lift``.
+``ExactScalar`` holds such a sum as {(r, p, im): q}; it is a ring, and the
+inverse is defined for a single monomial.  The complex floating-point
+fallback is plain ``complex``; an exact constant enters a float computation
+only through ``lift``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class PoleError(ArithmeticError):
 class UnsupportedExactInput(ArithmeticError):
     """A finite value the exact scalars cannot represent (e.g. a Gamma at a
     quarter-integer); the float path computes it."""
-
-
-class MixedRadicalError(ArithmeticError):
-    """Addition of two exact scalars whose radical parts differ."""
 
 
 def require_finite(z: complex) -> complex:
@@ -155,31 +151,52 @@ def _square_split(n: int) -> tuple[int, int]:
 # the scalar
 # ---------------------------------------------------------------------------
 
-class ExactScalar:
-    """q * sqrt(r) * pi^(p/2), optionally times i.
+_ONE = (1, 0, False)          # radical key of the rationals
 
-    Multiplication is closed (radicands combine with square extraction);
-    addition requires matching (r, p, imag) unless one side is zero.
+
+def _merge(out: dict, key, q) -> None:
+    """out[key] += q in place; a value that cancels is dropped."""
+    if key in out:
+        s = out[key] + q
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    else:
+        out[key] = q
+
+
+class ExactScalar:
+    """A finite sum of q * sqrt(r) * pi^(p/2) * i^k.
+
+    ``terms`` maps the radical key (r, p, im) to its nonzero Fraction q; zero
+    has no terms.  Distinct keys are Q-linearly independent, so keys never
+    cancel each other and a value has one canonical form.
     """
 
-    __slots__ = ("q", "r", "p", "im")
+    __slots__ = ("terms",)
 
     def __init__(self, q, r: int = 1, p: int = 0, im: bool = False):
         q = Fraction(q)
         if r <= 0:
             raise ValueError("radicand must be positive")
-        if q == 0:
-            r, p, im = 1, 0, False
-        self.q, self.r, self.p, self.im = q, r, p, im
+        self.terms = {(r, p, bool(im)): q} if q else {}
+
+    @staticmethod
+    def _wrap(terms: dict) -> "ExactScalar":
+        """An ExactScalar owning ``terms``, which must hold nonzero values only."""
+        out = object.__new__(ExactScalar)
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(x) -> "ExactScalar":
-        if isinstance(x, ExactScalar):
+        if x.__class__ is ExactScalar:
             return x
         if isinstance(x, (int, Fraction)):
-            return ExactScalar(Fraction(x))
+            return ExactScalar(x)
         if isinstance(x, HalfInt):
             return ExactScalar(x.frac)
         raise TypeError("cannot coerce %r to ExactScalar" % (x,))
@@ -204,30 +221,28 @@ class ExactScalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.q == 0
+        return not self.terms
 
     def __bool__(self):
-        return self.q != 0
+        return bool(self.terms)
 
     def is_rational(self) -> bool:
-        return self.r == 1 and self.p == 0 and not self.im
+        return self.terms.keys() <= {_ONE}
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("%s is not rational" % self)
-        return self.q
+        return self.terms.get(_ONE, Fraction(0))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = ExactScalar.of(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.r, self.p, self.im) != (other.r, other.p, other.im):
-            raise MixedRadicalError("cannot add %s and %s" % (self, other))
-        return ExactScalar(self.q + other.q, self.r, self.p, self.im)
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar.of(other)
+        out = dict(self.terms)
+        for k, q in other.terms.items():
+            _merge(out, k, q)
+        return ExactScalar._wrap(out)
 
     __radd__ = __add__
 
@@ -238,30 +253,42 @@ class ExactScalar:
         return ExactScalar.of(other) + (-self)
 
     def __neg__(self):
-        return ExactScalar(-self.q, self.r, self.p, self.im)
+        return ExactScalar._wrap({k: -q for k, q in self.terms.items()})
 
     def __mul__(self, other):
-        other = ExactScalar.of(other)
-        if self.is_zero() or other.is_zero():
-            return ExactScalar(0)
-        g = math.gcd(self.r, other.r)
-        q = self.q * other.q * g
-        r = (self.r // g) * (other.r // g)
-        im = self.im != other.im
-        if self.im and other.im:
-            q = -q
-        return ExactScalar(q, r, self.p + other.p, im)
+        if other.__class__ is not ExactScalar:
+            other = ExactScalar.of(other)
+        out = {}
+        for (r1, p1, i1), q1 in self.terms.items():
+            for (r2, p2, i2), q2 in other.terms.items():
+                # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2)
+                q = q1 * q2
+                if r1 == 1 or r2 == 1:
+                    r = r1 * r2
+                else:
+                    g = math.gcd(r1, r2)
+                    if g == 1:
+                        r = r1 * r2
+                    else:
+                        r = (r1 // g) * (r2 // g)
+                        q = q * g
+                if i1 and i2:
+                    q = -q
+                _merge(out, (r, p1 + p2, i1 != i2), q)
+        return ExactScalar._wrap(out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        if self.is_zero():
+        """1/x of a single term; a sum of several terms has no inverse here."""
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero ExactScalar")
+        if len(self.terms) > 1:
+            raise ValueError("inverse of a sum of several radical terms: %s" % self)
         # 1/(q sqrt(r) pi^{p/2} i^k) = (1/(q r)) sqrt(r) pi^{-p/2} i^{-k}
-        q = 1 / (self.q * self.r)
-        if self.im:
-            q = -q
-        return ExactScalar(q, self.r, -self.p, self.im)
+        ((r, p, im), q), = self.terms.items()
+        q = 1 / (q * r)
+        return ExactScalar._wrap({(r, -p, im): -q if im else q})
 
     def __truediv__(self, other):
         return self * ExactScalar.of(other).inverse()
@@ -284,53 +311,63 @@ class ExactScalar:
         return out
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(-self.q if self.im else self.q, self.r, self.p, self.im)
+        return ExactScalar._wrap({k: -q if k[2] else q for k, q in self.terms.items()})
 
     # -- comparisons / conversions -----------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = ExactScalar.of(other)
-        except TypeError:
-            return NotImplemented
-        return (self.q, self.r, self.p, self.im) == (other.q, other.r, other.p, other.im)
+        if other.__class__ is not ExactScalar:
+            try:
+                other = ExactScalar.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.q, self.r, self.p, self.im))
+        return hash(frozenset(self.terms.items()))
 
     def to_complex(self) -> complex:
-        v = float(self.q) * math.sqrt(self.r) * math.pi ** (self.p / 2.0)
-        return require_finite(complex(0.0, v) if self.im else complex(v, 0.0))
+        out = 0j
+        for (r, p, im), q in self.terms.items():
+            v = float(q) * math.sqrt(r) * math.pi ** (p / 2.0)
+            out += complex(0.0, v) if im else v
+        return require_finite(out)
 
-    # -- serialization: "q*sqrt(r)*pi^(p/2)" with q as "num/den" ------------
+    # -- serialization: "q*sqrt(r)*pi^(p/2)" terms in key order, " + " ------
 
     def __str__(self):
-        core = "%d/%d*sqrt(%d)*pi^(%d/2)" % (
-            self.q.numerator, self.q.denominator, self.r, self.p)
-        return "i*" + core if self.im else core
+        if not self.terms:
+            return _term_str(Fraction(0), *_ONE)
+        return " + ".join(_term_str(q, *k) for k, q in sorted(self.terms.items()))
 
-    def __repr__(self):
-        return "ExactScalar(%s)" % self
+    __repr__ = __str__
+
+
+def _term_str(q: Fraction, r: int, p: int, im: bool) -> str:
+    core = "%d/%d*sqrt(%d)*pi^(%d/2)" % (q.numerator, q.denominator, r, p)
+    return "i*" + core if im else core
 
 
 def parse_scalar(s: str) -> ExactScalar:
     """Inverse of str(ExactScalar); bit-exact round-trip."""
-    s = s.strip()
-    im = s.startswith("i*")
-    if im:
-        s = s[2:]
-    try:
-        qs, rs, ps = s.split("*")
-        q = Fraction(qs)
-        if not (rs.startswith("sqrt(") and rs.endswith(")")):
-            raise ValueError
-        r = int(rs[5:-1])
-        if not (ps.startswith("pi^(") and ps.endswith("/2)")):
-            raise ValueError
-        p = int(ps[4:-3])
-    except ValueError as exc:
-        raise ValueError("malformed ExactScalar string: %r" % s) from exc
-    return ExactScalar(q, r, p, im)
+    out = ExactScalar(0)
+    for term in s.strip().split(" + "):
+        im = term.startswith("i*")
+        if im:
+            term = term[2:]
+        try:
+            qs, rs, ps = term.split("*")
+            q = Fraction(qs)
+            if not (rs.startswith("sqrt(") and rs.endswith(")")):
+                raise ValueError
+            r = int(rs[5:-1])
+            if not (ps.startswith("pi^(") and ps.endswith("/2)")):
+                raise ValueError
+            p = int(ps[4:-3])
+        except ValueError as exc:
+            raise ValueError("malformed ExactScalar string: %r" % s) from exc
+        out = out + ExactScalar(q, r, p, im)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ published coefficient tables are corrected here; the convention is pinned
 by the numeric principal-series oracle in the test suite and by the
 requirement that the degree-2 Casimir act by (lambda1^2+lambda2^2-5)/12.
 
-Coefficients are finite rational combinations of the radical basis
-sqrt(r)*pi^(p/2)*i^k (class ``RSum``) at rational lambda and complex
+Coefficients are ``ExactScalar`` values, finite rational combinations of
+the radical basis sqrt(r)*pi^(p/2)*i^k, at rational lambda and complex
 numbers at complex lambda.  Both come from one formula: its exact factors
 (Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
 where they meet a complex lambda, through ``exact.lift``.
@@ -32,7 +32,6 @@ letter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,137 +101,21 @@ def check_index(v: WignerIndex, delta) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact coefficient sums over the radical basis
+# exact coefficients
 # ---------------------------------------------------------------------------
 
-class RSum:
-    """Finite rational combination of sqrt(r)*pi^(p/2)*i^k basis radicals.
-
-    Distinct radical classes are Q-linearly independent, so classes never
-    cross-cancel; a value collapses to a single ExactScalar iff at most one
-    class survives.  ``terms`` holds nonzero Fractions only.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: q for k, q in (terms or {}).items() if q}
-
-    @staticmethod
-    def _wrap(terms: dict) -> "RSum":
-        """An RSum owning ``terms``, which must hold nonzero values only."""
-        out = object.__new__(RSum)
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def of(x) -> "RSum":
-        if isinstance(x, RSum):
-            return x
-        if isinstance(x, (int, Fraction)):
-            x = ExactScalar.of(x)
-        if isinstance(x, ExactScalar):
-            if x.is_zero():
-                return RSum()
-            return RSum._wrap({(x.r, x.p, x.im): x.q})
-        raise TypeError("cannot coerce %r to RSum" % (x,))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if other.__class__ is not RSum:
-            other = RSum.of(other)
-        out = dict(self.terms)
-        for k, q in other.terms.items():
-            if k in out:
-                s = out[k] + q
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            else:
-                out[k] = q
-        return RSum._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RSum._wrap({k: -q for k, q in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-RSum.of(other))
-
-    def __mul__(self, other):
-        if other.__class__ is not RSum:
-            other = RSum.of(other)
-        out = {}
-        for (r1, p1, i1), q1 in self.terms.items():
-            for (r2, p2, i2), q2 in other.terms.items():
-                # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2)
-                q = q1 * q2
-                if r1 == 1 or r2 == 1:
-                    r = r1 * r2
-                else:
-                    g = math.gcd(r1, r2)
-                    if g == 1:
-                        r = r1 * r2
-                    else:
-                        r = (r1 // g) * (r2 // g)
-                        q = q * g
-                if i1 and i2:
-                    q = -q
-                key = (r, p1 + p2, i1 != i2)
-                if key in out:
-                    s = out[key] + q
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = q
-        return RSum._wrap(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            other = RSum.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def as_exact(self) -> ExactScalar:
-        if not self.terms:
-            return ExactScalar(0)
-        if len(self.terms) > 1:
-            raise ValueError("value spans several radical classes: %s" % self)
-        (r, p, im), q = next(iter(self.terms.items()))
-        return ExactScalar(q, r, p, im)
-
-    def to_complex(self) -> complex:
-        return sum((ExactScalar(q, r, p, im).to_complex()
-                    for (r, p, im), q in self.terms.items()), 0j)
-
-    def __repr__(self):
-        if not self.terms:
-            return "RSum(0)"
-        return " + ".join(str(ExactScalar(q, r, p, im))
-                          for (r, p, im), q in sorted(self.terms.items()))
+# The benchmark reads the coefficient type under this name (its workloads
+# and its per-layer RSum counts), so the alias stays until it reads
+# ExactScalar.
+RSum = ExactScalar
 
 
-def cyc8_to_rsum(z: Cyc8) -> RSum:
+def cyc8_to_rsum(z: Cyc8) -> ExactScalar:
     """a + b w + c w^2 + d w^3 with w = e^{i pi/4}: real/imag parts split
     over the radical classes 1 and sqrt2."""
     a, b, c, d = z.c
-    return RSum({(1, 0, False): a, (1, 0, True): c,
-                 (2, 0, False): (b - d) / 2, (2, 0, True): (b + d) / 2})
+    return (ExactScalar(a) + ExactScalar(c, 1, 0, True)
+            + ExactScalar((b - d) / 2, 2) + ExactScalar((b + d) / 2, 2, 0, True))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +158,8 @@ class NoncompactLabel:
 def _accumulate(out: dict, terms: dict, c=None) -> None:
     """out += c * terms in place (out += terms without c), term by term in
     the order of ``terms``; a term that cancels is dropped.  Coefficients
-    are RSum or complex, and both are false exactly when zero."""
-    if c is not None and c.__class__ is RSum and not c.terms:
+    are ExactScalar or complex, and both are false exactly when zero."""
+    if c is not None and c.__class__ is ExactScalar and not c.terms:
         return
     for k, v in terms.items():
         if c is not None:
@@ -298,7 +181,7 @@ def lc_add(a: dict, b: dict) -> dict:
 
 
 def lc_scale(a: dict, c) -> dict:
-    if isinstance(c, RSum) and c.is_zero():
+    if isinstance(c, ExactScalar) and c.is_zero():
         return {}
     return {k: c * v for k, v in a.items()}
 
@@ -340,25 +223,23 @@ def _dr_terms(beta: NoncompactLabel, j, n, m2, lam):
     ]
 
 
-def _field(chi: Character):
-    """lambda and the coefficient constructor of chi's arithmetic: Fractions
-    and RSum when chi is exact, complex numbers for both otherwise."""
-    if chi.is_exact():
-        return chi.lam_frac, RSum.of
-    return tuple(complex(x) for x in chi.lam), complex
+def _lam(chi: Character) -> tuple:
+    """lambda in chi's arithmetic: Fractions when chi is exact, complex
+    numbers otherwise."""
+    return chi.lam_frac if chi.is_exact() else tuple(complex(x) for x in chi.lam)
 
 
 def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     """Right action dr(u_beta): diagonal for the +-b2 and +-(2b1+b2)
     families, an m2-ladder for +-(b1+b2)."""
     beta = NoncompactLabel.of(beta)
-    lam, coef_of = _field(chi)
+    lam = _lam(chi)
     out = {}
     for m_nu, factor, affine, shift in _dr_terms(beta, v.j, v.n, v.m2, lam):
         m2p = v.m2 + shift
         coef = lift(factor, lam[0]) * affine
         if m_nu == beta.m_beta and coef and abs(m2p.twice) <= v.j.twice:
-            out[WignerIndex.of(v.j, v.n, v.m1, m2p)] = coef_of(coef)
+            out[WignerIndex.of(v.j, v.n, v.m1, m2p)] = coef
     return out
 
 
@@ -373,7 +254,7 @@ def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 @lru_cache(maxsize=None)
 def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: bool) -> dict:
     j, n, m1, m2 = v.j, v.n, v.m1, v.m2
-    lam, coef_of = _field(chi)
+    lam = _lam(chi)
     out = {}
     for m_nu, factor, affine, shift in _dr_terms(beta, j, n, m2, lam):
         m2p = m2 + shift
@@ -390,7 +271,7 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: 
             c = _cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)
             if c:
                 tgt = WignerIndex.of(jt, n + beta.n_beta, tm1, tm2)
-                _accumulate(out, {tgt: coef_of(lift(c, coef) * coef)})
+                _accumulate(out, {tgt: lift(c, coef) * coef})
     return out
 
 
@@ -400,7 +281,7 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: 
 
 def dl_k_action(gen, v: WignerIndex) -> dict:
     """dl of a compact generator; gen is one of U0..U3 (or the gamma basis
-    g0, g3, g+, g-).  Coefficients are RSum."""
+    g0, g3, g+, g-).  Coefficients are ExactScalar."""
     return dict(_dl_k_cached(gen, v))
 
 
@@ -408,19 +289,19 @@ def dl_k_action(gen, v: WignerIndex) -> dict:
 def _dl_k_cached(gen, v: WignerIndex) -> dict:
     from .wigner import dl_gamma
     if gen in ("g0", "g3", "g+", "g-"):
-        return {k: RSum.of(c) for k, c in dl_gamma(gen, v).items()}
+        return dl_gamma(gen, v)
     if gen == "U0":
         return dl_k_action("g0", v)
     if gen == "U3":
         return dl_k_action("g3", v)
     if gen == "U1":   # gamma_1 = (g+ + g-)/2
         half = ExactScalar(Fraction(1, 2))
-        return lc_add(lc_scale(dl_k_action("g+", v), RSum.of(half)),
-                      lc_scale(dl_k_action("g-", v), RSum.of(half)))
+        return lc_add(lc_scale(dl_k_action("g+", v), half),
+                      lc_scale(dl_k_action("g-", v), half))
     if gen == "U2":   # gamma_2 = (g+ - g-)/(2i)
         mih = ExactScalar(Fraction(-1, 2), 1, 0, True)   # 1/(2i) = -i/2
-        return lc_add(lc_scale(dl_k_action("g+", v), RSum.of(mih)),
-                      lc_scale(dl_k_action("g-", v), RSum.of(-mih)))
+        return lc_add(lc_scale(dl_k_action("g+", v), mih),
+                      lc_scale(dl_k_action("g-", v), -mih))
     raise ValueError("unknown compact generator %r" % (gen,))
 
 
@@ -455,13 +336,12 @@ def chevalley_element(name: str) -> dict:
     """Chevalley basis vector as an AlgElement (catalog-coefficient map)."""
     if name not in _CHEVALLEY_TO_CATALOG:
         raise DecompositionError("unknown Chevalley label %r" % name)
-    return {lab: RSum.of(c) for lab, c in _CHEVALLEY_TO_CATALOG[name].items()}
+    return dict(_CHEVALLEY_TO_CATALOG[name])
 
 
 def compact_root_element(sign: int) -> dict:
     """v_{+-b1} = (1/i)(U1 +- i U2) = -i U1 +- U2."""
-    mi = RSum.of(ExactScalar(-1, 1, 0, True))
-    return {("U", 1): mi, ("U", 2): RSum.of(ExactScalar(1 if sign > 0 else -1))}
+    return {("U", 1): ExactScalar(-1, 1, 0, True), ("U", 2): ExactScalar(1 if sign > 0 else -1)}
 
 
 def gmat_to_element(x: GMat) -> dict:
@@ -508,7 +388,7 @@ def dl_element(elem, lc: dict, chi: Character) -> dict:
 
 def dl_word(word, v: WignerIndex, chi: Character) -> dict:
     """Left-to-right composition: dl(X1 X2 ... Xn) = dl(X1) ... dl(Xn)."""
-    one = RSum.of(1) if chi.is_exact() else (1 + 0j)
+    one = ExactScalar(1) if chi.is_exact() else (1 + 0j)
     lc = {v: one}
     for elem in reversed(list(word)):
         lc = dl_element(elem, lc, chi)
@@ -521,18 +401,18 @@ def dl_word(word, v: WignerIndex, chi: Character) -> dict:
 def _omega2_form() -> tuple:
     """The Casimir collected in the catalog basis, as (inner, outer) pairs:
     omega2 = sum of outer * inner, where inner is the catalog label applied
-    first (None for the linear part) and outer a {catalog label: RSum}
+    first (None for the linear part) and outer a {catalog label: ExactScalar}
     element.  Every word is expanded with its letter order kept and equal
     monomials are summed exactly; no relation of g is used."""
     form, linear = {}, {}
     for coef, word in omega2_words():      # words of one or two letters
         inner = chevalley_element(word[-1])
         if len(word) == 1:
-            _accumulate(linear, inner, RSum.of(coef))
+            _accumulate(linear, inner, ExactScalar.of(coef))
             continue
         outer = chevalley_element(word[0])
         for lab, c in inner.items():
-            _accumulate(form.setdefault(lab, {}), outer, RSum.of(coef) * c)
+            _accumulate(form.setdefault(lab, {}), outer, ExactScalar.of(coef) * c)
     return tuple(form.items()) + ((None, linear),)
 
 
@@ -543,7 +423,7 @@ def omega2_action(v: WignerIndex, chi: Character) -> dict:
     out = {}
     for inner, outer in _omega2_form():
         if inner is None:
-            lc = {v: RSum.of(1) if exact else 1 + 0j}
+            lc = {v: ExactScalar(1) if exact else 1 + 0j}
         else:
             lc = _dl_label(inner, v, chi, exact)
         _accumulate(out, dl_element(outer, lc, chi))
@@ -560,8 +440,8 @@ def casimir_check(vectors, chi: Character) -> bool:
     other coefficient are within 1e-9 * max(1, |scalar|) of it and of 0.
     The diagonal must be present unless the scalar is 0."""
     exact = chi.is_exact()
-    scalar = sp4.hc_omega2(chi.lam_frac if exact else tuple(complex(x) for x in chi.lam))
-    expect, zero = (RSum.of(ExactScalar.of(scalar)), RSum()) if exact else (scalar, 0j)
+    scalar = sp4.hc_omega2(_lam(chi))
+    expect, zero = (ExactScalar.of(scalar), ExactScalar(0)) if exact else (scalar, 0j)
     tol = 1e-9 * max(1.0, abs(scalar))
 
     def good(c, want):
@@ -581,7 +461,7 @@ def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
     dl(y) dl(x) v = dl([x,y]) v exactly for each basis vector v (rational
     lambda)."""
     br = sp4.bracket(x, y)
-    one, minus = RSum.of(1), RSum.of(-1)
+    one, minus = ExactScalar(1), ExactScalar(-1)
     for v in vectors:
         lhs = lc_add(dl_element(x, dl_element(y, {v: one}, chi), chi),
                      lc_scale(dl_element(y, dl_element(x, {v: one}, chi), chi), minus))
@@ -608,6 +488,6 @@ def action_matrix_json(beta, delta, lam, j_max, n_max) -> list[dict]:
                 rows.append({
                     "from": [str(v.j), str(v.n), str(v.m1), str(v.m2)],
                     "to": [str(tgt.j), str(tgt.n), str(tgt.m1), str(tgt.m2)],
-                    "coeff": str(coeff.as_exact()),
+                    "coeff": str(coeff),
                 })
     return rows

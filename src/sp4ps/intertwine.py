@@ -5,7 +5,8 @@ change-of-basis matrices M, N (Wigner D-values at quarter-turn angles), and
 the simple-operator entries S (finite sum over M N Q, or the terminating
 3F2 at 1, a Hahn polynomial in z).  Normalized entries are rational in the
 spectral parameter up to one fixed radical, so the default computations are
-exact at any rational lambda.  Every hypergeometric sum and series here
+exact at any rational lambda; exact entries are ``ExactScalar`` values (sums
+of radical monomials).  Every hypergeometric sum and series here
 takes its terms from ``exact.hyp_terms``; a generating function in t is a
 list of coefficients (``laurent``), read one coefficient of a product at a
 time.
@@ -368,7 +369,12 @@ def s_entry_3f2(j, n, m1, m4, z):
         return _s00(z) * _s_norm_closed_exact(j, m1, m4, z)
     from scipy.special import gamma as cgamma
     jj, a, b = j.as_int(), m1.as_int(), m4.as_int()
-    f = sum(hyp_terms(*_s_3f2_params(jj, a, b, complex(z)), 1, min(jj + a, jj - b)))
+    # the terminating 3F2 cancels heavily at some z, so it is summed exactly
+    # at the (binary-exact) Gaussian rational z and rounded once
+    zc = complex(z)
+    zq = ExactScalar(Fraction(zc.real)) + ExactScalar(Fraction(zc.imag), 1, 0, True)
+    terms = hyp_terms(*_s_3f2_params(jj, a, b, zq), 1, min(jj + a, jj - b))
+    f = sum(terms, ExactScalar(0)).to_complex()
     pref = (-1) ** ((a + b) // 2) * math.factorial(2 * jj) * math.pi \
         / (c_factor(j, m1).to_complex() * c_factor(j, m4).to_complex())
     return pref * cgamma((2 * z - a + b - 1) / 2) / (cgamma((-2 * jj - a + b + 1) / 2) * cgamma(jj + z)) * f
@@ -499,7 +505,8 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     and each factor is built once per block.
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
-    hyperplanes must cancel across the sum, else PoleError.  A PoleError or
+    hyperplanes must cancel across the sum, within each radical monomial of
+    the exact factors, else PoleError.  A PoleError or
     UnsupportedExactInput names the block and the factor.  The t1 and t2
     series are read only up to t^{2j}, so they are built to that order.
     """
@@ -564,22 +571,19 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
         for m1, rj, rg, rc in zip(rows, row_jet, row_gam, row_const):
             out_row = []
             for m2, cj, cg, cc in zip(cols, col_jet, col_gam, col_const):
+                # jets summed per radical key of the exact factors
                 buckets: dict = {}
                 for p in ps:
-                    exactpart = rg[p] * cg[p]
-                    key = (exactpart.r, exactpart.p, exactpart.im)
-                    add = rj[p] * cj[p] * exactpart.q
-                    prev = buckets.get(key)
-                    buckets[key] = add if prev is None else prev + add
-                live = {k: v for k, v in buckets.items() if not v.is_zero()}
-                if not live:
-                    out_row.append(ExactScalar(0))
-                    continue
-                if len(live) > 1:
-                    raise AssertionError("generating-function terms span several radical classes")
-                (key, jet), = live.items()
-                rat = _jet_value(jet, "entry (%s,%s)" % (m1, m2))
-                out_row.append(const * rc * cc * ExactScalar(rat, key[0], key[1], key[2]))
+                    jet = rj[p] * cj[p]
+                    for key, q in (rg[p] * cg[p]).terms.items():
+                        add = jet * q
+                        buckets[key] = buckets[key] + add if key in buckets else add
+                total = ExactScalar(0)
+                for (r, pk, im), jet in buckets.items():
+                    if not jet.is_zero():
+                        rat = _jet_value(jet, "entry (%s,%s)" % (m1, m2))
+                        total = total + ExactScalar(rat, r, pk, im)
+                out_row.append(const * rc * cc * total)
             out.append(out_row)
     return out
 

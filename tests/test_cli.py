@@ -127,6 +127,32 @@ def test_config_error_exit_code():
         main(["compute", "--delta", "3,0"])
 
 
+@pytest.mark.parametrize("lam", ["1/0,2", "nan,1", "inf+0i,1", "1,2-nani"])
+def test_bad_lambda_is_a_config_error(capsys, lam):
+    # a zero denominator or a non-finite part is rejected by the parser:
+    # exit 2, naming the value, before anything is computed
+    for cmd in ("compute", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--lambda", lam])
+        assert exc.value.code == 2
+        assert "argument --lambda" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # --out naming an existing file fails before the block loop
+    path = tmp_path / "taken"
+    path.write_text("x")
+
+    def no_blocks(*args):
+        raise AssertionError("the blocks were computed before --out was checked")
+    monkeypatch.setattr(intertwine, "long_operator_product", no_blocks)
+    for out in (path, path / "sub"):
+        assert main(["compute", "--jmax", "1", "--nmax", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write to %s: " % out) and "Traceback" not in err
+    assert path.read_text() == "x"
+
+
 def test_options_a_subcommand_does_not_read_are_rejected(capsys):
     for argv in (["compute", "--trunc-order", "9"], ["verify", "--jmax", "1"],
                  ["ktypes", "--lambda", "1,1"]):
@@ -137,14 +163,14 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys):
 
 
 def test_failed_invariant_is_named_and_exits_1(capsys, monkeypatch):
-    def mixed(*args):
-        raise AssertionError("generating-function terms span several radical classes")
-    monkeypatch.setattr(intertwine, "_genfun_raw_block", mixed)
+    def broken(*args):
+        raise AssertionError("stub generating-function invariant does not hold")
+    monkeypatch.setattr(intertwine, "_genfun_raw_block", broken)
     rc = main(["compute", "--kind", "LONG_GENFUN", "--delta", "0,0", "--lambda", "9/2,5/2",
                "--jmax", "1", "--nmax", "1"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "invariant failed: generating-function terms span several radical classes\n")
+        "invariant failed: stub generating-function invariant does not hold\n")
 
 
 def test_mellin_command():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4ps.exact import (Character, ExactScalar, HalfInt, MixedRadicalError,
-                         PoleError, binomial, gamma_half, half_range,
+from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError,
+                         binomial, gamma_half, half_range,
                          hyp_terminating, hyp_terms, parse_scalar, pochhammer)
 from sp4ps.intertwine import _jet, _jet_poch
 
@@ -147,6 +147,10 @@ _scalars = st.builds(
 )
 
 
+# sums of up to three monomials, the empty sum (zero) included
+_sums = st.lists(_scalars, max_size=3).map(lambda xs: sum(xs, ExactScalar(0)))
+
+
 def _squarefree(n: int) -> bool:
     d = 2
     while d * d <= n:
@@ -157,17 +161,28 @@ def _squarefree(n: int) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scalars, _scalars, _scalars)
+@given(_sums, _sums, _sums)
 def test_mul_associative_commutative_squarefree(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
-    assert _squarefree((a * b).r)
+    assert all(_squarefree(r) for r, _p, _im in (a * b).terms)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scalars)
+@given(_sums, _sums, _sums)
+def test_sums_form_a_ring(a, b, c):
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero() and a + 0 == a and a * 1 == a
+    assert all(q and isinstance(q, F) for q in (a * b + c).terms.values())
+    assert abs((a * b + c).to_complex() - (a.to_complex() * b.to_complex() + c.to_complex())) \
+        <= 1e-9 * (1 + abs(a.to_complex()) * abs(b.to_complex()) + abs(c.to_complex()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sums)
 def test_serialization_roundtrip(a):
-    assert parse_scalar(str(a)) == a
+    assert parse_scalar(str(a)) == a and repr(a) == str(a)
 
 
 def test_addition_rules():
@@ -175,15 +190,22 @@ def test_addition_rules():
     b = ExactScalar(F(1, 3), 2)
     assert a + b == ExactScalar(F(5, 6), 2)
     assert a + ExactScalar(0) == a
-    with pytest.raises(MixedRadicalError):
-        a + ExactScalar(1, 3)
-    with pytest.raises(MixedRadicalError):
-        a + ExactScalar(F(1, 2), 2, 0, True)
+    # different radical keys do not combine: the sum keeps both terms, prints
+    # them in key order and reads back
+    for other, text in ((ExactScalar(1, 3), "1/2*sqrt(2)*pi^(0/2) + 1/1*sqrt(3)*pi^(0/2)"),
+                        (ExactScalar(F(1, 2), 2, 0, True),
+                         "1/2*sqrt(2)*pi^(0/2) + i*1/2*sqrt(2)*pi^(0/2)")):
+        s = a + other
+        assert len(s.terms) == 2 and str(s) == text and parse_scalar(text) == s
+        assert s - other == a
+    with pytest.raises(ValueError):
+        (a + ExactScalar(1, 3)).inverse()
 
 
 def test_zero_is_canonical():
     z = ExactScalar(0, 7, 3, True)
-    assert (z.r, z.p, z.im) == (1, 0, False)
+    assert z.terms == {} and z == ExactScalar(0) == 0
+    assert str(z) == "0/1*sqrt(1)*pi^(0/2)" and parse_scalar(str(z)).is_zero()
     assert (ExactScalar(1, 2) * 0).is_zero()
 
 
