@@ -8,9 +8,12 @@ a finite sum of radical monomials
 with q rational, r a positive squarefree integer, p an integer and k in
 {0,1} (the sign of q supplies the other half of the 4-cycle of i-powers).
 ``ExactScalar`` holds such a sum as {(r, p, im): q}; it is a ring, and the
-inverse is defined for a single monomial.  The complex floating-point
-fallback is plain ``complex``; an exact constant enters a float computation
-only through ``lift``.
+inverse is defined for a single monomial.  A linear combination of such
+sums is built in integer scratch form (``ExactScalar.mul_acc``) and turned
+into reduced values once per output coefficient (``ExactScalar.settle``);
+``__mul__`` and ``mul_acc`` share one product rule for radical monomials.
+The complex floating-point fallback is plain ``complex``; an exact constant
+enters a float computation only through ``lift``.
 """
 
 from __future__ import annotations
@@ -154,6 +157,24 @@ def _square_split(n: int) -> tuple[int, int]:
 _ONE = (1, 0, False)          # radical key of the rationals
 
 
+def _radical_product(k1, k2):
+    """The product rule of the radical basis: the monomials with keys k1 and
+    k2 multiply to f times the monomial with the returned key, f an integer.
+    sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2) with g = gcd(r1, r2), and
+    i * i = -1."""
+    r1, p1, i1 = k1
+    r2, p2, i2 = k2
+    f = 1
+    if r1 == 1 or r2 == 1:
+        r = r1 * r2
+    else:
+        f = math.gcd(r1, r2)
+        r = (r1 // f) * (r2 // f)
+    if i1 and i2:
+        f = -f
+    return (r, p1 + p2, i1 != i2), f
+
+
 def _merge(out: dict, key, q) -> None:
     """out[key] += q in place; a value that cancels is dropped."""
     if key in out:
@@ -259,25 +280,61 @@ class ExactScalar:
         if other.__class__ is not ExactScalar:
             other = ExactScalar.of(other)
         out = {}
-        for (r1, p1, i1), q1 in self.terms.items():
-            for (r2, p2, i2), q2 in other.terms.items():
-                # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2)
+        for k1, q1 in self.terms.items():
+            for k2, q2 in other.terms.items():
+                key, f = _radical_product(k1, k2)
                 q = q1 * q2
-                if r1 == 1 or r2 == 1:
-                    r = r1 * r2
-                else:
-                    g = math.gcd(r1, r2)
-                    if g == 1:
-                        r = r1 * r2
-                    else:
-                        r = (r1 // g) * (r2 // g)
-                        q = q * g
-                if i1 and i2:
-                    q = -q
-                _merge(out, (r, p1 + p2, i1 != i2), q)
+                _merge(out, key, q if f == 1 else q * f)
         return ExactScalar._wrap(out)
 
     __rmul__ = __mul__
+
+    # -- linear combinations in integer scratch form ------------------------
+
+    @staticmethod
+    def mul_acc(acc: dict, index, a: "ExactScalar", b: "ExactScalar") -> None:
+        """acc[index] += a * b, with no Fraction and no ExactScalar made.
+
+        ``acc`` maps an index to {radical key: [numerator, denominator]},
+        unreduced with a positive denominator; two denominators combine by
+        their lcm.  A key whose numerator reaches 0 is dropped, and an
+        index whose terms all cancel is deleted, so it goes last if it
+        comes back.  ``settle`` turns the scratch into ExactScalars.
+        """
+        cell = acc.get(index)
+        if cell is None:
+            cell = acc[index] = {}
+        bterms = b.terms.items()
+        for k1, q1 in a.terms.items():
+            n1, d1 = q1.numerator, q1.denominator
+            for k2, q2 in bterms:
+                key, f = _radical_product(k1, k2)
+                n = n1 * q2.numerator * f
+                d = d1 * q2.denominator
+                old = cell.get(key)
+                if old is None:
+                    cell[key] = [n, d]
+                    continue
+                n0, d0 = old
+                if d0 == d:
+                    n += n0
+                else:
+                    g = math.gcd(d0, d)
+                    n = n0 * (d // g) + n * (d0 // g)
+                    d = d0 // g * d
+                if n:
+                    old[0], old[1] = n, d
+                else:
+                    del cell[key]
+        if not cell:
+            del acc[index]
+
+    @staticmethod
+    def settle(acc: dict) -> dict:
+        """{index: ExactScalar} from ``mul_acc`` scratch, in its index
+        order: one reduced Fraction per term."""
+        return {index: ExactScalar._wrap({k: Fraction(n, d) for k, (n, d) in cell.items()})
+                for index, cell in acc.items()}
 
     def inverse(self) -> "ExactScalar":
         """1/x of a single term; a sum of several terms has no inverse here."""

@@ -17,8 +17,13 @@ numbers at complex lambda.  Both come from one formula: its exact factors
 (Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
 where they meet a complex lambda, through ``exact.lift``.
 
-Linear combinations are dicts {basis index: coefficient}.  dl of an
-element, a word or the Casimir is summed into one dict in place
+Linear combinations are dicts {basis index: coefficient}.  At rational
+lambda, dl of an element or of the Casimir is summed in integer scratch form
+(``ExactScalar.mul_acc``): each product of two coefficients is added into
+its output index without making a Fraction, and each output coefficient is
+reduced once at the end (``ExactScalar.settle``).  An index whose terms all
+cancel leaves the sum and goes last if it comes back, so the key order is
+the one of adding term by term.  At complex lambda the sum is made in place
 (``_accumulate``), term by term in a fixed order, so a float result has the
 same bits on every run; ``lc_add`` and ``lc_scale`` return new dicts.
 
@@ -157,10 +162,9 @@ class NoncompactLabel:
 
 def _accumulate(out: dict, terms: dict, c=None) -> None:
     """out += c * terms in place (out += terms without c), term by term in
-    the order of ``terms``; a term that cancels is dropped.  Coefficients
-    are ExactScalar or complex, and both are false exactly when zero."""
-    if c is not None and c.__class__ is ExactScalar and not c.terms:
-        return
+    the order of ``terms``; a term that cancels is dropped.  This is the sum
+    of the float path (complex coefficients) and of ``lc_add``; exact sums
+    go through ``ExactScalar.mul_acc``."""
     for k, v in terms.items():
         if c is not None:
             v = c * v
@@ -197,6 +201,7 @@ def _cg(j, m1, m2: int, j0: int) -> ExactScalar:
         return ExactScalar(0)
 
 
+_ONE = ExactScalar(1)
 _I_OVER_SQRT2 = ExactScalar(Fraction(1, 2), 2, 0, True)   # i/sqrt2
 _I = ExactScalar.i_power(1)
 
@@ -246,33 +251,37 @@ def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     """Left action of u_beta on a basis function, as a finite linear
     combination over the K-types (j-1, j, j+1) x (n +- 1)."""
-    # Python's cross-type numeric equality would let exact and float
-    # characters share a cache slot, so exactness is part of the key
     return dict(_dl_p_cached(NoncompactLabel.of(beta), v, chi, chi.is_exact()))
 
 
+# Python's cross-type numeric equality would let exact and float characters
+# share a cache slot, so exactness is part of the key.  The cached dicts are
+# shared: dl_p_action hands out copies, and _dl_label only reads them.
 @lru_cache(maxsize=None)
-def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, _exact: bool) -> dict:
-    j, n, m1, m2 = v.j, v.n, v.m1, v.m2
+def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: bool) -> dict:
+    j, m1, m2 = v.j, v.m1, v.m2
     lam = _lam(chi)
+    # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
+    tj, tn, tm1 = j.twice, v.n.twice + 2 * beta.n_beta, m1.twice + 2 * beta.m_beta
     out = {}
-    for m_nu, factor, affine, shift in _dr_terms(beta, j, n, m2, lam):
-        m2p = m2 + shift
+    for m_nu, factor, affine, shift in _dr_terms(beta, j, v.n, m2, lam):
+        tm2p = m2.twice + 2 * shift
         coef = -lift(factor, lam[0]) * affine
-        if not coef or abs(m2p.twice) > j.twice:
+        if not coef or abs(tm2p) > tj:
             continue
+        tm2 = tm2p + 2 * m_nu
         for j0 in (-1, 0, 1):
-            jt = j + j0
-            if jt.twice < 0 or (j.twice == 0 and j0 != 1):
+            tjt = tj + 2 * j0
+            if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1) > tjt or abs(tm2) > tjt:
                 continue
-            tm1, tm2 = m1 + beta.m_beta, m2p + m_nu
-            if abs(tm1.twice) > jt.twice or abs(tm2.twice) > jt.twice:
-                continue
-            c = _cg(j, m1, beta.m_beta, j0) * _cg(j, m2p, m_nu, j0)
+            c = _cg(j, m1, beta.m_beta, j0) * _cg(j, HalfInt(tm2p), m_nu, j0)
             if c:
-                tgt = WignerIndex.of(jt, n + beta.n_beta, tm1, tm2)
-                _accumulate(out, {tgt: lift(c, coef) * coef})
-    return out
+                tgt = WignerIndex(HalfInt(tjt), HalfInt(tn), HalfInt(tm1), HalfInt(tm2))
+                if exact:
+                    ExactScalar.mul_acc(out, tgt, c, coef)
+                else:
+                    _accumulate(out, {tgt: lift(c, coef) * coef})
+    return ExactScalar.settle(out) if exact else out
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +294,31 @@ def dl_k_action(gen, v: WignerIndex) -> dict:
     return dict(_dl_k_cached(gen, v))
 
 
+_HALF = ExactScalar(Fraction(1, 2))
+_MINUS_I_HALF = ExactScalar(Fraction(-1, 2), 1, 0, True)    # 1/(2i) = -i/2
+
+
+# shared like _dl_p_cached: dl_k_action copies, _dl_label only reads
 @lru_cache(maxsize=None)
 def _dl_k_cached(gen, v: WignerIndex) -> dict:
     from .wigner import dl_gamma
     if gen in ("g0", "g3", "g+", "g-"):
         return dl_gamma(gen, v)
     if gen == "U0":
-        return dl_k_action("g0", v)
+        return _dl_k_cached("g0", v)
     if gen == "U3":
-        return dl_k_action("g3", v)
+        return _dl_k_cached("g3", v)
     if gen == "U1":   # gamma_1 = (g+ + g-)/2
-        half = ExactScalar(Fraction(1, 2))
-        return lc_add(lc_scale(dl_k_action("g+", v), half),
-                      lc_scale(dl_k_action("g-", v), half))
-    if gen == "U2":   # gamma_2 = (g+ - g-)/(2i)
-        mih = ExactScalar(Fraction(-1, 2), 1, 0, True)   # 1/(2i) = -i/2
-        return lc_add(lc_scale(dl_k_action("g+", v), mih),
-                      lc_scale(dl_k_action("g-", v), -mih))
-    raise ValueError("unknown compact generator %r" % (gen,))
+        cp, cm = _HALF, _HALF
+    elif gen == "U2":   # gamma_2 = (g+ - g-)/(2i)
+        cp, cm = _MINUS_I_HALF, -_MINUS_I_HALF
+    else:
+        raise ValueError("unknown compact generator %r" % (gen,))
+    acc = {}
+    for c, act in ((cp, _dl_k_cached("g+", v)), (cm, _dl_k_cached("g-", v))):
+        for k, val in act.items():
+            ExactScalar.mul_acc(acc, k, c, val)
+    return ExactScalar.settle(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +366,12 @@ def gmat_to_element(x: GMat) -> dict:
         coords = decompose_chevalley(x)
     except ValueError as exc:
         raise DecompositionError(str(exc)) from exc
-    out = {}
+    acc = {}
     for name, c in coords.items():
-        _accumulate(out, chevalley_element(name), cyc8_to_rsum(c))
-    return out
+        c = cyc8_to_rsum(c)
+        for lab, ce in _CHEVALLEY_TO_CATALOG[name].items():
+            ExactScalar.mul_acc(acc, lab, c, ce)
+    return ExactScalar.settle(acc)
 
 
 def _as_element(x) -> dict:
@@ -367,22 +385,37 @@ def _as_element(x) -> dict:
 
 
 def _dl_label(lab, v: WignerIndex, chi: Character, exact: bool) -> dict:
-    """dl of one catalog label on a basis vector, in chi's arithmetic."""
+    """dl of one catalog label on a basis vector, in chi's arithmetic.  The
+    result may be a cached dict: read it, do not change it."""
     if lab[0] == "u":
-        return dl_p_action(NoncompactLabel(lab[1], lab[2]), v, chi)
-    act = dl_k_action("U%d" % lab[1], v)
+        return _dl_p_cached(NoncompactLabel(lab[1], lab[2]), v, chi, exact)
+    act = _dl_k_cached("U%d" % lab[1], v)
     return act if exact else {k: c.to_complex() for k, c in act.items()}
+
+
+def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character) -> None:
+    """acc += dl(elem) lc in ``ExactScalar.mul_acc`` scratch form (rational
+    lambda)."""
+    mul_acc = ExactScalar.mul_acc
+    for v, cv in lc.items():
+        for lab, ce in elem.items():
+            c = ce * cv
+            for k, val in _dl_label(lab, v, chi, True).items():
+                mul_acc(acc, k, c, val)
 
 
 def dl_element(elem, lc: dict, chi: Character) -> dict:
     """Apply dl of one algebra element to a linear combination."""
     elem = _as_element(elem)
-    exact = chi.is_exact()
-    coefs = elem.items() if exact else [(lab, ce.to_complex()) for lab, ce in elem.items()]
+    if chi.is_exact():
+        acc = {}
+        _dl_element_acc(acc, elem, lc, chi)
+        return ExactScalar.settle(acc)
+    coefs = [(lab, ce.to_complex()) for lab, ce in elem.items()]
     out = {}
     for v, cv in lc.items():
         for lab, ce in coefs:
-            _accumulate(out, _dl_label(lab, v, chi, exact), ce * cv)
+            _accumulate(out, _dl_label(lab, v, chi, False), ce * cv)
     return out
 
 
@@ -404,28 +437,37 @@ def _omega2_form() -> tuple:
     first (None for the linear part) and outer a {catalog label: ExactScalar}
     element.  Every word is expanded with its letter order kept and equal
     monomials are summed exactly; no relation of g is used."""
+    mul_acc = ExactScalar.mul_acc
     form, linear = {}, {}
     for coef, word in omega2_words():      # words of one or two letters
-        inner = chevalley_element(word[-1])
+        coef = ExactScalar.of(coef)
+        inner = _CHEVALLEY_TO_CATALOG[word[-1]]
         if len(word) == 1:
-            _accumulate(linear, inner, ExactScalar.of(coef))
+            for lab, c in inner.items():
+                mul_acc(linear, lab, coef, c)
             continue
-        outer = chevalley_element(word[0])
+        outer = _CHEVALLEY_TO_CATALOG[word[0]]
         for lab, c in inner.items():
-            _accumulate(form.setdefault(lab, {}), outer, ExactScalar.of(coef) * c)
-    return tuple(form.items()) + ((None, linear),)
+            acc, c = form.setdefault(lab, {}), coef * c
+            for olab, oc in outer.items():
+                mul_acc(acc, olab, c, oc)
+    settle = ExactScalar.settle
+    return tuple((lab, settle(acc)) for lab, acc in form.items()) + ((None, settle(linear)),)
 
 
 def omega2_action(v: WignerIndex, chi: Character) -> dict:
     """dl of the degree-2 Casimir (acts by hc_omega2(lambda) on I(chi)),
-    from its collected form: dl(outer) dl(inner) v summed over the form."""
-    exact = chi.is_exact()
+    from its collected form: dl(outer) dl(inner) v summed over the form.  At
+    rational lambda one accumulator takes every inner label."""
+    if chi.is_exact():
+        acc = {}
+        for inner, outer in _omega2_form():
+            lc = {v: _ONE} if inner is None else _dl_label(inner, v, chi, True)
+            _dl_element_acc(acc, outer, lc, chi)
+        return ExactScalar.settle(acc)
     out = {}
     for inner, outer in _omega2_form():
-        if inner is None:
-            lc = {v: ExactScalar(1) if exact else 1 + 0j}
-        else:
-            lc = _dl_label(inner, v, chi, exact)
+        lc = {v: 1 + 0j} if inner is None else _dl_label(inner, v, chi, False)
         _accumulate(out, dl_element(outer, lc, chi))
     return out
 
@@ -460,12 +502,15 @@ def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
     """dl is a Lie algebra homomorphism on the pair: dl(x) dl(y) v -
     dl(y) dl(x) v = dl([x,y]) v exactly for each basis vector v (rational
     lambda)."""
-    br = sp4.bracket(x, y)
-    one, minus = ExactScalar(1), ExactScalar(-1)
+    ex, ey, eb = (gmat_to_element(g) for g in (x, y, sp4.bracket(x, y)))
+    minus = ExactScalar(-1)
     for v in vectors:
-        lhs = lc_add(dl_element(x, dl_element(y, {v: one}, chi), chi),
-                     lc_scale(dl_element(y, dl_element(x, {v: one}, chi), chi), minus))
-        if lc_add(lhs, lc_scale(dl_element(br, {v: one}, chi), minus)):
+        # dl(x) dl(y) v + dl(y) dl(x) (-v) + dl([x,y]) (-v), in one sum
+        acc = {}
+        _dl_element_acc(acc, ex, dl_element(ey, {v: _ONE}, chi), chi)
+        _dl_element_acc(acc, ey, dl_element(ex, {v: minus}, chi), chi)
+        _dl_element_acc(acc, eb, {v: minus}, chi)
+        if acc:
             return False
     return True
 

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sp4ps import gkmod
@@ -17,7 +19,7 @@ from sp4ps.gkmod import (DecompositionError, NoncompactLabel, action_matrix_json
                          dl_word, dr_p_action, gmat_to_element, ktype_allowed,
                          ktype_basis, ktypes, lc_add, lc_scale, m_set,
                          omega2_action)
-from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, chevalley, hc_omega2, omega2_words,
+from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, chevalley, decompose_chevalley, hc_omega2, omega2_words,
                        random_element, u2_generators, u_beta)
 from sp4ps.wigner import WignerIndex, euler_from_u2, wigner_D, EulerAngles
 
@@ -259,9 +261,11 @@ def test_omega2_form_matches_words_in_free_algebra(monkeypatch):
     # collected form must still equal the sum of the Casimir's words letter
     # by letter: only the expansion of the words is tested, no relation of g
     p_map, k_map = _random_action("p"), _random_action("k")
-    monkeypatch.setattr(gkmod, "dl_p_action",
-                        lambda beta, v, chi: dict(p_map((beta.m_beta, beta.n_beta), v)))
-    monkeypatch.setattr(gkmod, "dl_k_action", lambda gen, v: dict(k_map(gen, v)))
+    # dl of a catalog label reads the two action caches, so they are what
+    # is replaced
+    monkeypatch.setattr(gkmod, "_dl_p_cached",
+                        lambda beta, v, chi, exact: p_map((beta.m_beta, beta.n_beta), v))
+    monkeypatch.setattr(gkmod, "_dl_k_cached", lambda gen, v: k_map(gen, v))
     vecs = _vectors((0, 0), 2, 2)
     assert len(vecs) == 89
     for v in vecs:
@@ -284,6 +288,144 @@ def test_casimir_float_path_matches_exact(delta, lam):
         assert exact.get(v)
         for k in set(exact) | set(floaty):
             assert abs(floaty.get(k, 0) - exact.get(k, ExactScalar(0)).to_complex()) <= tol, (v, k)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel against a reference made of lc_add, lc_scale and ring
+# operations (no ExactScalar.mul_acc, no collected Casimir form)
+# ---------------------------------------------------------------------------
+
+_ORACLE_CHARS = [Character((0, 0), (F(7, 3), F(4, 5))),
+                 Character((0, 1), (F(11, 5), F(2, 9))),
+                 Character((1, 1), (F(9, 4), F(-5, 7)))]
+_CHEVALLEY_LABELS = ("H1", "H2") + ALL_ROOTS
+
+
+def _ref_dl_element(elem, lc, chi):
+    out = {}
+    for v, cv in lc.items():
+        for lab, ce in elem.items():
+            out = lc_add(out, lc_scale(gkmod._dl_label(lab, v, chi, True), ce * cv))
+    return out
+
+
+def _ref_omega2(v, chi):
+    out = {}
+    for coef, word in omega2_words():
+        lc = {v: ExactScalar(1)}
+        for letter in reversed(word):
+            lc = _ref_dl_element(chevalley_element(letter), lc, chi)
+        out = lc_add(out, lc_scale(lc, ExactScalar.of(coef)))
+    return out
+
+
+def _assert_canonical(lc):
+    """Nonzero coefficients whose terms are nonzero, reduced Fractions."""
+    for c in lc.values():
+        assert c.terms
+        for q in c.terms.values():
+            assert type(q) is F and q and q.denominator > 0
+            assert math.gcd(q.numerator, q.denominator) == 1
+
+
+_dense = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=10, max_size=10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chi=st.sampled_from(_ORACLE_CHARS), xc=_dense, yc=_dense, pick=st.integers(0, 10 ** 6))
+def test_exact_kernel_matches_reference(chi, xc, yc, pick):
+    vecs = _vectors(chi.delta, 1, 1)
+    v = vecs[pick % len(vecs)]
+    elems = []
+    for coefs in (xc, yc):
+        g = _chevalley_sum(coefs)
+        got = gmat_to_element(g)
+        ref = {}
+        for lab, c in zip(_CHEVALLEY_LABELS, coefs):
+            ref = lc_add(ref, lc_scale(chevalley_element(lab), ExactScalar(c)))
+        assert got == ref
+        ref = {}           # the same sum in the order the decomposition reads
+        for lab, c in decompose_chevalley(g).items():
+            ref = lc_add(ref, lc_scale(chevalley_element(lab), cyc8_to_rsum(c)))
+        assert list(got.items()) == list(ref.items())
+        elems.append(got)
+    x, y = elems
+    one = {v: ExactScalar(1)}
+    inner = dl_element(y, one, chi)
+    assert list(inner.items()) == list(_ref_dl_element(y, one, chi).items())
+    nested = dl_element(x, inner, chi)
+    assert list(nested.items()) == list(_ref_dl_element(x, inner, chi).items())
+    omega = omega2_action(v, chi)
+    assert list(omega.items()) == list(_ref_omega2(v, chi).items())
+    for lc in (inner, nested, omega):
+        _assert_canonical(lc)
+
+
+def test_mul_acc_cancel_and_reappear_keeps_order():
+    one, two = ExactScalar(1), ExactScalar(2)
+    r2 = ExactScalar(F(1, 3), 2, 0, True)                 # i sqrt2 / 3
+    mixed = ExactScalar(-1) + ExactScalar(F(1, 2), 3)     # -1 + sqrt3 / 2
+    steps = [("a", one, one), ("b", two, r2), ("c", one, r2),
+             ("a", -one, one),        # a cancels: deleted
+             ("d", r2, r2),
+             ("c", one, mixed),       # the old term of c survives the new ones
+             ("a", two, r2),          # a comes back: last
+             ("b", -two, r2)]         # b cancels for good
+    acc, ref = {}, {}
+    for idx, x, y in steps:
+        ExactScalar.mul_acc(acc, idx, x, y)
+        ref = lc_add(ref, {idx: x * y})
+        assert list(acc) == list(ref)
+    got = ExactScalar.settle(acc)
+    assert list(got.items()) == list(ref.items()) and list(got) == ["c", "d", "a"]
+    # within one product the rational term of c cancels first, then sqrt3
+    # arrives: c kept its place
+    acc = {}
+    ExactScalar.mul_acc(acc, "c", one, one)
+    ExactScalar.mul_acc(acc, "e", one, one)
+    ExactScalar.mul_acc(acc, "c", one, ExactScalar(-1) + ExactScalar(1, 3))
+    assert list(acc) == ["c", "e"] and acc["c"] == {(3, 0, False): [1, 1]}
+
+
+def test_mul_acc_denominators_and_settle():
+    acc = {}
+    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 6)), ExactScalar(1))
+    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 4)), ExactScalar(1))
+    assert acc == {0: {(1, 0, False): [5, 12]}}            # lcm, not 24
+    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 2), 2), ExactScalar(F(1, 2), 6))
+    # sqrt2 sqrt6 = 2 sqrt3: the product rule's integer factor
+    assert acc[0][(3, 0, False)] == [2, 4]
+    got = ExactScalar.settle(acc)[0]
+    assert got.terms == {(1, 0, False): F(5, 12), (3, 0, False): F(1, 2)}
+    assert got.terms[(3, 0, False)].numerator == 1
+    a = ExactScalar(F(2, 3), 6, 1, True) + ExactScalar(F(-5, 7), 10)
+    b = ExactScalar(F(3, 4), 15, -1, True) + ExactScalar(F(1, 9))
+    acc = {}
+    ExactScalar.mul_acc(acc, "x", a, b)
+    assert ExactScalar.settle(acc) == {"x": a * b}
+
+
+def test_returned_actions_are_copies():
+    v = WignerIndex.of(1, 1, 0, 1)
+    for call in (lambda: dl_p_action("b2", v, CHI), lambda: dl_k_action("U1", v),
+                 lambda: dl_k_action("U0", v)):
+        first = call()
+        want = list(first.items())
+        assert want
+        first.clear()
+        first[v] = ExactScalar(99)
+        assert list(call().items()) == want
+
+
+def test_bracket_check_decomposes_each_matrix_once(monkeypatch):
+    calls = []
+    real = gkmod.decompose_chevalley
+    monkeypatch.setattr(gkmod, "decompose_chevalley", lambda x: calls.append(x) or real(x))
+    x = _chevalley_sum((1, -2, 3, -1, 2, -3, 1, 2, -1, 3))
+    y = _chevalley_sum((-3, 1, 2, 1, -1, -2, 3, -1, 2, 1))
+    vecs = _vectors((0, 0), 1, 1)
+    assert bracket_check(x, y, vecs, CHI)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +538,7 @@ MODULE_DIGESTS = {
 
 def _chevalley_sum(coefs):
     x = GMat.zero()
-    for lab, c in zip(("H1", "H2") + ALL_ROOTS, coefs):
+    for lab, c in zip(_CHEVALLEY_LABELS, coefs):
         x = x + chevalley(lab).scale(c)
     return x
 
