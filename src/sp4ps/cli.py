@@ -52,6 +52,13 @@ def _parse_delta(text: str):
     return d
 
 
+def _jobs(text: str) -> int:
+    n = int(text) if text.isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
+    return n
+
+
 def _seed() -> int:
     env = os.environ.get("SP4_SEED")
     return int(env) if env else random.SystemRandom().randrange(2 ** 31)
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     delta(pv)
     lam(pv)
     pv.add_argument("--deep", action="store_true", help="raise bounds to j<=4/6 per suite")
-    pv.add_argument("--jobs", type=int, default=4)
+    pv.add_argument("--jobs", type=_jobs, default=4)
     pv.set_defaults(func=cmd_verify)
 
     pk = sub.add_parser("ktypes", help="K-type multiplicity table")

@@ -17,15 +17,17 @@ numbers at complex lambda.  Both come from one formula: its exact factors
 (Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
 where they meet a complex lambda, through ``exact.lift``.
 
-Linear combinations are dicts {basis index: coefficient}.  At rational
-lambda, dl of an element or of the Casimir is summed in integer scratch form
-(``ExactScalar.mul_acc``): each product of two coefficients is added into
-its output index without making a Fraction, and each output coefficient is
-reduced once at the end (``ExactScalar.settle``).  An index whose terms all
-cancel leaves the sum and goes last if it comes back, so the key order is
-the one of adding term by term.  At complex lambda the sum is made in place
-(``_accumulate``), term by term in a fixed order, so a float result has the
-same bits on every run; ``lc_add`` and ``lc_scale`` return new dicts.
+Linear combinations are dicts {basis index: coefficient}.  dl of an
+element or of the Casimir is summed by one kernel, with the multiply-add
+of the character's arithmetic (``_summation``).  At rational lambda that
+is integer scratch form (``ExactScalar.mul_acc``): each product of two
+coefficients is added into its output index without making a Fraction,
+and each output coefficient is reduced once at the end
+(``ExactScalar.settle``).  At complex lambda each product is added in
+place, term by term in the same order, so a float result has the same
+bits on every run.  An index whose terms all cancel leaves the sum and
+goes last if it comes back, so the key order is the one of adding term
+by term.  ``lc_add`` and ``lc_scale`` return new dicts.
 
 The Casimir is applied in collected form: its Chevalley words, expanded
 once per process in the catalog basis {u_beta, U_i} with letter order
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, half_range, lift
+from .exact import Character, ExactScalar, HalfInt, _merge, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
@@ -160,34 +162,31 @@ class NoncompactLabel:
 # linear combinations
 # ---------------------------------------------------------------------------
 
-def _accumulate(out: dict, terms: dict, c=None) -> None:
-    """out += c * terms in place (out += terms without c), term by term in
-    the order of ``terms``; a term that cancels is dropped.  This is the sum
-    of the float path (complex coefficients) and of ``lc_add``; exact sums
-    go through ``ExactScalar.mul_acc``."""
-    for k, v in terms.items():
-        if c is not None:
-            v = c * v
-        if k in out:
-            s = out[k] + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        elif v:
-            out[k] = v
-
-
 def lc_add(a: dict, b: dict) -> dict:
     out = dict(a)
-    _accumulate(out, b)
+    for k, v in b.items():
+        _merge(out, k, v)
     return out
 
 
 def lc_scale(a: dict, c) -> dict:
-    if isinstance(c, ExactScalar) and c.is_zero():
+    if not c:
         return {}
     return {k: c * v for k, v in a.items()}
+
+
+def _complex_mul_acc(acc: dict, index, a: complex, b: complex) -> None:
+    """acc[index] += a * b in place: ``ExactScalar.mul_acc`` at complex
+    lambda.  Its scratch is already the result, so ``dict`` settles it."""
+    _merge(acc, index, a * b)
+
+
+def _summation(chi: Character) -> tuple:
+    """The (mul_acc, settle) pair of chi's arithmetic: integer scratch at
+    rational lambda, complex numbers otherwise."""
+    if chi.is_exact():
+        return ExactScalar.mul_acc, ExactScalar.settle
+    return _complex_mul_acc, dict
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +258,7 @@ def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 # shared: dl_p_action hands out copies, and _dl_label only reads them.
 @lru_cache(maxsize=None)
 def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: bool) -> dict:
+    mul_acc, settle = _summation(chi)
     j, m1, m2 = v.j, v.m1, v.m2
     lam = _lam(chi)
     # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
@@ -277,11 +277,8 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: b
             c = _cg(j, m1, beta.m_beta, j0) * _cg(j, HalfInt(tm2p), m_nu, j0)
             if c:
                 tgt = WignerIndex(HalfInt(tjt), HalfInt(tn), HalfInt(tm1), HalfInt(tm2))
-                if exact:
-                    ExactScalar.mul_acc(out, tgt, c, coef)
-                else:
-                    _accumulate(out, {tgt: lift(c, coef) * coef})
-    return ExactScalar.settle(out) if exact else out
+                mul_acc(out, tgt, lift(c, coef), coef)
+    return settle(out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +352,6 @@ def chevalley_element(name: str) -> dict:
     return dict(_CHEVALLEY_TO_CATALOG[name])
 
 
-def compact_root_element(sign: int) -> dict:
-    """v_{+-b1} = (1/i)(U1 +- i U2) = -i U1 +- U2."""
-    return {("U", 1): ExactScalar(-1, 1, 0, True), ("U", 2): ExactScalar(1 if sign > 0 else -1)}
-
-
 def gmat_to_element(x: GMat) -> dict:
     """Decompose a 4x4 matrix into the catalog basis."""
     try:
@@ -393,36 +385,30 @@ def _dl_label(lab, v: WignerIndex, chi: Character, exact: bool) -> dict:
     return act if exact else {k: c.to_complex() for k, c in act.items()}
 
 
-def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character) -> None:
-    """acc += dl(elem) lc in ``ExactScalar.mul_acc`` scratch form (rational
-    lambda)."""
-    mul_acc = ExactScalar.mul_acc
+def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character, mul_acc) -> None:
+    """acc += dl(elem) lc, each product added by ``mul_acc`` of chi's
+    arithmetic (``_summation``)."""
+    exact = chi.is_exact()
+    like = _lam(chi)[0]
+    coefs = [(lab, lift(ce, like)) for lab, ce in elem.items()]
     for v, cv in lc.items():
-        for lab, ce in elem.items():
+        for lab, ce in coefs:
             c = ce * cv
-            for k, val in _dl_label(lab, v, chi, True).items():
+            for k, val in _dl_label(lab, v, chi, exact).items():
                 mul_acc(acc, k, c, val)
 
 
 def dl_element(elem, lc: dict, chi: Character) -> dict:
     """Apply dl of one algebra element to a linear combination."""
-    elem = _as_element(elem)
-    if chi.is_exact():
-        acc = {}
-        _dl_element_acc(acc, elem, lc, chi)
-        return ExactScalar.settle(acc)
-    coefs = [(lab, ce.to_complex()) for lab, ce in elem.items()]
-    out = {}
-    for v, cv in lc.items():
-        for lab, ce in coefs:
-            _accumulate(out, _dl_label(lab, v, chi, False), ce * cv)
-    return out
+    mul_acc, settle = _summation(chi)
+    acc = {}
+    _dl_element_acc(acc, _as_element(elem), lc, chi, mul_acc)
+    return settle(acc)
 
 
 def dl_word(word, v: WignerIndex, chi: Character) -> dict:
     """Left-to-right composition: dl(X1 X2 ... Xn) = dl(X1) ... dl(Xn)."""
-    one = ExactScalar(1) if chi.is_exact() else (1 + 0j)
-    lc = {v: one}
+    lc = {v: lift(_ONE, _lam(chi)[0])}
     for elem in reversed(list(word)):
         lc = dl_element(elem, lc, chi)
         if not lc:
@@ -457,19 +443,15 @@ def _omega2_form() -> tuple:
 
 def omega2_action(v: WignerIndex, chi: Character) -> dict:
     """dl of the degree-2 Casimir (acts by hc_omega2(lambda) on I(chi)),
-    from its collected form: dl(outer) dl(inner) v summed over the form.  At
-    rational lambda one accumulator takes every inner label."""
-    if chi.is_exact():
-        acc = {}
-        for inner, outer in _omega2_form():
-            lc = {v: _ONE} if inner is None else _dl_label(inner, v, chi, True)
-            _dl_element_acc(acc, outer, lc, chi)
-        return ExactScalar.settle(acc)
-    out = {}
+    from its collected form: dl(outer) dl(inner) v summed over the form in
+    one accumulator."""
+    mul_acc, settle = _summation(chi)
+    exact, one = chi.is_exact(), lift(_ONE, _lam(chi)[0])
+    acc = {}
     for inner, outer in _omega2_form():
-        lc = {v: 1 + 0j} if inner is None else _dl_label(inner, v, chi, False)
-        _accumulate(out, dl_element(outer, lc, chi))
-    return out
+        lc = {v: one} if inner is None else _dl_label(inner, v, chi, exact)
+        _dl_element_acc(acc, outer, lc, chi, mul_acc)
+    return settle(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +486,13 @@ def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
     lambda)."""
     ex, ey, eb = (gmat_to_element(g) for g in (x, y, sp4.bracket(x, y)))
     minus = ExactScalar(-1)
+    mul_acc = _summation(chi)[0]
     for v in vectors:
         # dl(x) dl(y) v + dl(y) dl(x) (-v) + dl([x,y]) (-v), in one sum
         acc = {}
-        _dl_element_acc(acc, ex, dl_element(ey, {v: _ONE}, chi), chi)
-        _dl_element_acc(acc, ey, dl_element(ex, {v: minus}, chi), chi)
-        _dl_element_acc(acc, eb, {v: minus}, chi)
+        _dl_element_acc(acc, ex, dl_element(ey, {v: _ONE}, chi), chi, mul_acc)
+        _dl_element_acc(acc, ey, dl_element(ex, {v: minus}, chi), chi, mul_acc)
+        _dl_element_acc(acc, eb, {v: minus}, chi, mul_acc)
         if acc:
             return False
     return True

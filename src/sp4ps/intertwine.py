@@ -441,30 +441,24 @@ def _stage_args(chi: Character) -> dict:
     }
 
 
+# the (row, column) parity sets of each stage: True is the delta-swapped set
+_STAGE_SETS = {"A1": (True, False), "A2": (True, True), "A3": (False, True), "A4": (False, False)}
+
+
 def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
     """One normalized factor of the long operator: script-S blocks for
     A1/A3 (with the delta-swapped row parity set), diagonal script-T for
     A2/A4."""
+    if kind not in _STAGE_SETS:
+        raise ValueError("simple_operator kind must be one of A1..A4")
     j, n = HalfInt.of(ktype[0]), HalfInt.of(ktype[1])
-    d1, d2 = chi.delta
     z = _stage_args(chi)[kind]
-    plain = m_set(j, n, (d1, d2))
-    swap = m_set(j, n, (d2, d1))
+    rows, cols = (m_set(j, n, chi.delta[::-1] if swap else chi.delta) for swap in _STAGE_SETS[kind])
     with _named("stage %s (argument %s)" % (kind, z)):
-        if kind == "A1":
-            rows, cols = swap, plain
+        if kind in ("A1", "A3"):
             ent = _s_block(j, rows, cols, z, q_ratio)
-        elif kind == "A3":
-            rows, cols = plain, swap
-            ent = _s_block(j, rows, cols, z, q_ratio)
-        elif kind == "A2":
-            rows = cols = swap
-            ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
-        elif kind == "A4":
-            rows = cols = plain
-            ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
         else:
-            raise ValueError("simple_operator kind must be one of A1..A4")
+            ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
         if not isinstance(z, (int, Fraction)):
             ent = [[require_finite(e) for e in row] for row in ent]
     return BlockMatrix((j, n), rows, cols, ent)

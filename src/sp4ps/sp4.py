@@ -208,16 +208,6 @@ def symplectic_inverse(g: GMat) -> GMat:
     return (J_SYMPL @ g.transpose() @ J_SYMPL).scale(-1)
 
 
-def theta_algebra(x: GMat) -> GMat:
-    """Cartan involution on the algebra: negative transpose."""
-    return -x.transpose()
-
-
-def theta_group(g: GMat) -> GMat:
-    """Cartan involution on the group: inverse transpose."""
-    return symplectic_inverse(g).transpose()
-
-
 # ---------------------------------------------------------------------------
 # Chevalley basis and u(2) generators
 # ---------------------------------------------------------------------------

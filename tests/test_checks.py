@@ -43,6 +43,12 @@ CASES = [
     (gkmod.casimir_check,
      lambda: ([WignerIndex.of(0, 0, 0, 0)], Character((0, 0), (F(3), F(1, 2)))),
      gkmod, "omega2_action", lambda out: {}),
+    # at complex lambda: the diagonal off by a relative 1e-6 is outside the
+    # tolerance
+    pytest.param(gkmod.casimir_check,
+                 lambda: ([WignerIndex.of(1, 1, 0, 1)], Character((0, 0), (3 + 0j, 0.5 + 0j))),
+                 gkmod, "omega2_action", lambda out: {k: c * (1 + 1e-6) for k, c in out.items()},
+                 id="casimir_check-complex"),
     (gkmod.bracket_check,
      lambda: (sp4.random_element(random.Random(3)), sp4.random_element(random.Random(4)),
               gkmod.ktype_basis(1, 1, (0, 0)), CHI),
@@ -65,7 +71,7 @@ def _wrong_once(real, bad):
 
 
 @pytest.mark.parametrize("check, inputs, module, name, bad", CASES,
-                         ids=[case[0].__name__ for case in CASES])
+                         ids=[getattr(case, "id", None) or case[0].__name__ for case in CASES])
 def test_check_fails_when_one_side_is_wrong(monkeypatch, check, inputs, module, name, bad):
     assert check(*inputs()) is True
     monkeypatch.setattr(module, name, _wrong_once(getattr(module, name), bad))

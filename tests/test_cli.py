@@ -138,6 +138,16 @@ def test_bad_lambda_is_a_config_error(capsys, lam):
         assert "argument --lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_config_error(capsys, jobs):
+    # rejected by the parser before the seed header is printed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", jobs])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --jobs" in err
+
+
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     # --out naming an existing file fails before the block loop
     path = tmp_path / "taken"

@@ -243,6 +243,13 @@ def test_simple_operator_structure():
             assert bm.entries[i][k] == s_norm(2, 0, mr, mc, z)
 
 
+def test_simple_operator_rejects_unknown_kind():
+    # LONG is a kind of `compute`, not a stage
+    for kind in ("LONG", "A5"):
+        with pytest.raises(ValueError, match="A1..A4"):
+            simple_operator(kind, (1, 1), CHI)
+
+
 def test_simple_operator_pole_reporting():
     with pytest.raises(PoleError) as err:
         simple_operator("A1", (1, 1), Character((0, 0), (F(1, 2), F(3, 2))))
