@@ -8,8 +8,7 @@ from .wigner import (EulerAngles, OutOfRange, WignerIndex, clebsch_gordan_j1,
                      jacobi_hyp, jacobi_sum, little_d, product_expand, wigner_D)
 from .sp4 import (GMat, cayley_check, chevalley, hc_omega2, hc_omega4,
                   iwasawa_sl2, u2_generators, weyl_on_lambda, weyl_reflection)
-from .gkmod import (BasisIndex, NoncompactLabel, dl_k_action, dl_p_action,
-                    dl_word, ktypes, m_set, omega2_action)
+from .gkmod import dl_k_action, dl_p_action, dl_word, ktypes, m_set, omega2_action
 from .intertwine import (BlockMatrix, QuadratureError, inversion_check,
                          long_operator_genfun, long_operator_product,
                          mellin_numeric_check, mn_matrices, q_factor,

@@ -25,6 +25,7 @@ from . import gkmod, intertwine, laurent, sp4, wigner
 
 
 def _parse_lambda(text: str):
+    """Two rationals p/q or complex numbers re+imi, in Character's arithmetic."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("lambda must be two comma-separated values")
@@ -37,11 +38,7 @@ def _parse_lambda(text: str):
             raise ValueError("zero denominator in lambda part %r" % p) from None
         except ValueError:
             out.append(complex(p[:-1] + "j" if p.endswith("i") else p))
-    if not all(isinstance(x, Fraction) for x in out):
-        out = [complex(x) for x in out]
-        if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in out):
-            raise ValueError("lambda parts must be finite, got %r" % text)
-    return tuple(out)
+    return Character((0, 0), tuple(out)).lam
 
 
 def _parse_delta(text: str):
@@ -106,7 +103,7 @@ def _suites(seed, deep, chi):
     inversion_zs = [Fraction(7, 2), Fraction(5, 2), Fraction(11, 3)]
     iwasawa_ts = [Fraction(0), Fraction(3, 4), Fraction(5, 12), Fraction(8, 15)]
     jmax_genfun = 3 if deep else 2        # the generating-function suites
-    rational = chi.is_exact()
+    rational = chi.exact
     # the K-types with j + n <= 2, 0 <= n <= 1 that delta allows; m1 is j//2
     # at integer j and 1/2 at j = 1/2, 3/2
     bracket_vectors = [wigner.WignerIndex.of(j, n, j.frac - (j.frac + 1) // 2, m2)

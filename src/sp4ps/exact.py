@@ -19,7 +19,7 @@ enters a float computation only through ``lift``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -433,21 +433,32 @@ def parse_scalar(s: str) -> ExactScalar:
 
 @dataclass(frozen=True)
 class Character:
-    """Induction datum: discrete part delta in {0,1}^2, continuous lambda."""
+    """Induction datum: discrete part delta in {0,1}^2, continuous lambda.
+
+    This is the one place that fixes lambda's arithmetic: ``lam`` is stored
+    as two Fractions when both parts are rational (int or Fraction) and as
+    two complex numbers otherwise, and ``exact`` says which.  ``exact``
+    takes part in equality and hashing, so an exact and a float character
+    never share a cache slot even where their values compare equal.
+    """
 
     delta: tuple[int, int]
     lam: tuple
+    exact: bool = field(init=False)
 
     def __post_init__(self):
-        if not (self.delta[0] in (0, 1) and self.delta[1] in (0, 1)):
+        delta = tuple(self.delta)
+        if not (len(delta) == 2 and delta[0] in (0, 1) and delta[1] in (0, 1)):
             raise ValueError("delta components must be 0 or 1")
-
-    def is_exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in self.lam)
-
-    @property
-    def lam_frac(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(self.lam[0]), Fraction(self.lam[1]))
+        if len(self.lam) != 2:
+            raise ValueError("lambda must have two parts, got %r" % (self.lam,))
+        exact = all(isinstance(x, (int, Fraction)) for x in self.lam)
+        lam = tuple(Fraction(x) if exact else complex(x) for x in self.lam)
+        if not exact and not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in lam):
+            raise ValueError("lambda parts must be finite, got %r" % (self.lam,))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "exact", exact)
 
 
 # ---------------------------------------------------------------------------
@@ -455,32 +466,27 @@ class Character:
 # ---------------------------------------------------------------------------
 
 def pochhammer(a, n: int):
-    """Rising factorial (a)^(n) = Gamma(a+n)/Gamma(a), integer n of any sign.
-
-    Works for Fraction/int (exact) and float/complex arguments alike.
+    """Rising factorial (a)^(n) = Gamma(a+n)/Gamma(a), integer n of any sign:
+    the product a (a+1) ... (a+n-1), or one over (a-1) (a-2) ... (a+n) when
+    n < 0.  Works for Fraction/int (exact), float/complex and epsilon-jet
+    arguments alike.
     """
+    out = _one_like(a)
     if n >= 0:
-        out = _one_like(a)
         for i in range(n):
             out = out * (a + i)
         return out
-    out = _one_like(a)
     for i in range(1, -n + 1):
-        d = a - i
-        if _is_exact_number(a) and d == 0:
-            raise PoleError("(%s)^(%d) hits a pole" % (a, n))
-        out = out / d
-    return out
+        out = out * (a - i)
+    if out == 0:
+        raise PoleError("(%s)^(%d) hits a pole" % (a, n))
+    return 1 / out
 
 
 def _one_like(a):
-    if isinstance(a, (int, Fraction)):
-        return Fraction(1)
-    return 1.0 if isinstance(a, float) else (1 + 0j) if isinstance(a, complex) else Fraction(1)
-
-
-def _is_exact_number(a) -> bool:
-    return isinstance(a, (int, Fraction))
+    """1 in the arithmetic of a: a Fraction beside an exact number, else
+    a * 0 + 1 (so a jet stays a jet)."""
+    return Fraction(1) if isinstance(a, (int, Fraction)) else a * 0 + 1
 
 
 def gamma_half(a) -> ExactScalar:

@@ -13,9 +13,20 @@ requirement that the degree-2 Casimir act by (lambda1^2+lambda2^2-5)/12.
 
 Coefficients are ``ExactScalar`` values, finite rational combinations of
 the radical basis sqrt(r)*pi^(p/2)*i^k, at rational lambda and complex
-numbers at complex lambda.  Both come from one formula: its exact factors
-(Clebsch-Gordan values, i/sqrt2, ladder square roots) become complex only
-where they meet a complex lambda, through ``exact.lift``.
+numbers at complex lambda; ``exact.Character`` fixes which, and this
+module reads lambda only as the character stores it.  Both come from one
+formula: its exact factors (Clebsch-Gordan values, i/sqrt2, ladder square
+roots) become complex only where they meet a complex lambda, through
+``exact.lift``.
+
+The ten generators have one name inside this module, their catalog label:
+("u", m_beta, n_beta) for the noncompact u_beta and ("U", i) for the
+compact U_i.  dl of a label on a basis vector is cached by (label,
+vector, character); a compact action does not depend on lambda, so its
+cache takes the character's ``exact`` field instead, and the complex
+entry is lifted from the exact one once.  ``dl_p_action`` also takes a
+root name or the weights (m_beta, n_beta), and ``dl_k_action`` takes
+"U0".."U3".
 
 Linear combinations are dicts {basis index: coefficient}.  dl of an
 element or of the Casimir is summed by one kernel, with the multiply-add
@@ -39,16 +50,13 @@ letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
 from .exact import Character, ExactScalar, HalfInt, _merge, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
-from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
-
-BasisIndex = WignerIndex
+from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1, dl_gamma
 
 
 class DecompositionError(ValueError):
@@ -135,27 +143,17 @@ NONCOMPACT = {
 }
 
 
-@dataclass(frozen=True)
-class NoncompactLabel:
-    m_beta: int
-    n_beta: int
+# every name of a noncompact root: the root, its weights (m_beta, n_beta)
+# and its catalog label ("u", m_beta, n_beta), each mapped to the label
+_U_NAMES = {name: ("u",) + w for root, w in NONCOMPACT.items() for name in (root, w, ("u",) + w)}
 
-    def __post_init__(self):
-        if (self.m_beta, self.n_beta) not in NONCOMPACT.values():
-            raise ValueError("no noncompact root with weights (%s,%s)"
-                             % (self.m_beta, self.n_beta))
 
-    @staticmethod
-    def of(x) -> "NoncompactLabel":
-        if isinstance(x, NoncompactLabel):
-            return x
-        if isinstance(x, str):
-            return NoncompactLabel(*NONCOMPACT[x])
-        return NoncompactLabel(*x)
-
-    @property
-    def root(self) -> str:
-        return {v: k for k, v in NONCOMPACT.items()}[(self.m_beta, self.n_beta)]
+def _noncompact(beta) -> tuple:
+    """The catalog label ("u", m_beta, n_beta) of a noncompact root."""
+    try:
+        return _U_NAMES[beta]
+    except (KeyError, TypeError):       # TypeError: an unhashable name
+        raise ValueError("not a noncompact root: %r" % (beta,)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def _complex_mul_acc(acc: dict, index, a: complex, b: complex) -> None:
 def _summation(chi: Character) -> tuple:
     """The (mul_acc, settle) pair of chi's arithmetic: integer scratch at
     rational lambda, complex numbers otherwise."""
-    if chi.is_exact():
+    if chi.exact:
         return ExactScalar.mul_acc, ExactScalar.settle
     return _complex_mul_acc, dict
 
@@ -205,14 +203,14 @@ _I_OVER_SQRT2 = ExactScalar(Fraction(1, 2), 2, 0, True)   # i/sqrt2
 _I = ExactScalar.i_power(1)
 
 
-def _dr_terms(beta: NoncompactLabel, j, n, m2, lam):
+def _dr_terms(lab: tuple, j, n, m2, lam):
     """The three dr(u_nu) contributions as (m_nu, exact factor, affine
     factor, m2 shift).  The i/sqrt2 and ladder factors do not depend on
     lambda and stay exact; the affine factor is a Fraction at rational
     lambda and complex at complex lambda."""
     l1, l2 = lam
     nf, m2f = n.frac, m2.frac
-    if beta.n_beta == 1:
+    if lab[2] == 1:
         lad = (j - m2).frac * (j + m2 + 1).frac
         return [
             (-1, _I_OVER_SQRT2, -nf + m2f - (l2 + 1), 0),
@@ -227,22 +225,16 @@ def _dr_terms(beta: NoncompactLabel, j, n, m2, lam):
     ]
 
 
-def _lam(chi: Character) -> tuple:
-    """lambda in chi's arithmetic: Fractions when chi is exact, complex
-    numbers otherwise."""
-    return chi.lam_frac if chi.is_exact() else tuple(complex(x) for x in chi.lam)
-
-
 def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     """Right action dr(u_beta): diagonal for the +-b2 and +-(2b1+b2)
     families, an m2-ladder for +-(b1+b2)."""
-    beta = NoncompactLabel.of(beta)
-    lam = _lam(chi)
+    lab = _noncompact(beta)
+    lam = chi.lam
     out = {}
-    for m_nu, factor, affine, shift in _dr_terms(beta, v.j, v.n, v.m2, lam):
+    for m_nu, factor, affine, shift in _dr_terms(lab, v.j, v.n, v.m2, lam):
         m2p = v.m2 + shift
         coef = lift(factor, lam[0]) * affine
-        if m_nu == beta.m_beta and coef and abs(m2p.twice) <= v.j.twice:
+        if m_nu == lab[1] and coef and abs(m2p.twice) <= v.j.twice:
             out[WignerIndex.of(v.j, v.n, v.m1, m2p)] = coef
     return out
 
@@ -250,21 +242,22 @@ def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     """Left action of u_beta on a basis function, as a finite linear
     combination over the K-types (j-1, j, j+1) x (n +- 1)."""
-    return dict(_dl_p_cached(NoncompactLabel.of(beta), v, chi, chi.is_exact()))
+    return dict(_dl_p_cached(_noncompact(beta), v, chi))
 
 
-# Python's cross-type numeric equality would let exact and float characters
-# share a cache slot, so exactness is part of the key.  The cached dicts are
-# shared: dl_p_action hands out copies, and _dl_label only reads them.
+# keyed by (catalog label, basis vector, chi); chi's exact field keeps exact
+# and float characters apart.  The cached dicts are shared: dl_p_action
+# hands out copies, and _dl_label only reads them.
 @lru_cache(maxsize=None)
-def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: bool) -> dict:
+def _dl_p_cached(lab: tuple, v: WignerIndex, chi: Character) -> dict:
     mul_acc, settle = _summation(chi)
     j, m1, m2 = v.j, v.m1, v.m2
-    lam = _lam(chi)
+    lam = chi.lam
+    _, m_beta, n_beta = lab
     # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
-    tj, tn, tm1 = j.twice, v.n.twice + 2 * beta.n_beta, m1.twice + 2 * beta.m_beta
+    tj, tn, tm1 = j.twice, v.n.twice + 2 * n_beta, m1.twice + 2 * m_beta
     out = {}
-    for m_nu, factor, affine, shift in _dr_terms(beta, j, v.n, m2, lam):
+    for m_nu, factor, affine, shift in _dr_terms(lab, j, v.n, m2, lam):
         tm2p = m2.twice + 2 * shift
         coef = -lift(factor, lam[0]) * affine
         if not coef or abs(tm2p) > tj:
@@ -274,7 +267,7 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: b
             tjt = tj + 2 * j0
             if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1) > tjt or abs(tm2) > tjt:
                 continue
-            c = _cg(j, m1, beta.m_beta, j0) * _cg(j, HalfInt(tm2p), m_nu, j0)
+            c = _cg(j, m1, m_beta, j0) * _cg(j, HalfInt(tm2p), m_nu, j0)
             if c:
                 tgt = WignerIndex(HalfInt(tjt), HalfInt(tn), HalfInt(tm1), HalfInt(tm2))
                 mul_acc(out, tgt, lift(c, coef), coef)
@@ -286,33 +279,30 @@ def _dl_p_cached(beta: NoncompactLabel, v: WignerIndex, chi: Character, exact: b
 # ---------------------------------------------------------------------------
 
 def dl_k_action(gen, v: WignerIndex) -> dict:
-    """dl of a compact generator; gen is one of U0..U3 (or the gamma basis
-    g0, g3, g+, g-).  Coefficients are ExactScalar."""
-    return dict(_dl_k_cached(gen, v))
+    """dl of a compact generator U0..U3 (``wigner.dl_gamma`` takes the gamma
+    basis g0, g3, g+, g-).  Coefficients are ExactScalar."""
+    if gen not in ("U0", "U1", "U2", "U3"):
+        raise ValueError("unknown compact generator %r: dl_k_action takes U0..U3" % (gen,))
+    return dict(_dl_k_cached(("U", int(gen[1])), v, True))
 
 
 _HALF = ExactScalar(Fraction(1, 2))
 _MINUS_I_HALF = ExactScalar(Fraction(-1, 2), 1, 0, True)    # 1/(2i) = -i/2
 
 
-# shared like _dl_p_cached: dl_k_action copies, _dl_label only reads
+# keyed by (catalog label ("U", i), basis vector, exact); the complex entry
+# is lifted from the exact one once.  Shared like _dl_p_cached.
 @lru_cache(maxsize=None)
-def _dl_k_cached(gen, v: WignerIndex) -> dict:
-    from .wigner import dl_gamma
-    if gen in ("g0", "g3", "g+", "g-"):
-        return dl_gamma(gen, v)
-    if gen == "U0":
-        return _dl_k_cached("g0", v)
-    if gen == "U3":
-        return _dl_k_cached("g3", v)
-    if gen == "U1":   # gamma_1 = (g+ + g-)/2
-        cp, cm = _HALF, _HALF
-    elif gen == "U2":   # gamma_2 = (g+ - g-)/(2i)
-        cp, cm = _MINUS_I_HALF, -_MINUS_I_HALF
-    else:
-        raise ValueError("unknown compact generator %r" % (gen,))
+def _dl_k_cached(lab: tuple, v: WignerIndex, exact: bool) -> dict:
+    if not exact:
+        return {k: c.to_complex() for k, c in _dl_k_cached(lab, v, True).items()}
+    i = lab[1]
+    if i in (0, 3):    # U0 = gamma_0, U3 = gamma_3
+        return dl_gamma("g0" if i == 0 else "g3", v)
+    # gamma_1 = (g+ + g-)/2, gamma_2 = (g+ - g-)/(2i)
+    cp, cm = (_HALF, _HALF) if i == 1 else (_MINUS_I_HALF, -_MINUS_I_HALF)
     acc = {}
-    for c, act in ((cp, _dl_k_cached("g+", v)), (cm, _dl_k_cached("g-", v))):
+    for c, act in ((cp, dl_gamma("g+", v)), (cm, dl_gamma("g-", v))):
         for k, val in act.items():
             ExactScalar.mul_acc(acc, k, c, val)
     return ExactScalar.settle(acc)
@@ -376,25 +366,22 @@ def _as_element(x) -> dict:
     raise DecompositionError("cannot interpret %r as an algebra element" % (x,))
 
 
-def _dl_label(lab, v: WignerIndex, chi: Character, exact: bool) -> dict:
+def _dl_label(lab, v: WignerIndex, chi: Character) -> dict:
     """dl of one catalog label on a basis vector, in chi's arithmetic.  The
-    result may be a cached dict: read it, do not change it."""
+    result is a cached dict: read it, do not change it."""
     if lab[0] == "u":
-        return _dl_p_cached(NoncompactLabel(lab[1], lab[2]), v, chi, exact)
-    act = _dl_k_cached("U%d" % lab[1], v)
-    return act if exact else {k: c.to_complex() for k, c in act.items()}
+        return _dl_p_cached(lab, v, chi)
+    return _dl_k_cached(lab, v, chi.exact)
 
 
 def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character, mul_acc) -> None:
     """acc += dl(elem) lc, each product added by ``mul_acc`` of chi's
     arithmetic (``_summation``)."""
-    exact = chi.is_exact()
-    like = _lam(chi)[0]
-    coefs = [(lab, lift(ce, like)) for lab, ce in elem.items()]
+    coefs = [(lab, lift(ce, chi.lam[0])) for lab, ce in elem.items()]
     for v, cv in lc.items():
         for lab, ce in coefs:
             c = ce * cv
-            for k, val in _dl_label(lab, v, chi, exact).items():
+            for k, val in _dl_label(lab, v, chi).items():
                 mul_acc(acc, k, c, val)
 
 
@@ -408,7 +395,7 @@ def dl_element(elem, lc: dict, chi: Character) -> dict:
 
 def dl_word(word, v: WignerIndex, chi: Character) -> dict:
     """Left-to-right composition: dl(X1 X2 ... Xn) = dl(X1) ... dl(Xn)."""
-    lc = {v: lift(_ONE, _lam(chi)[0])}
+    lc = {v: lift(_ONE, chi.lam[0])}
     for elem in reversed(list(word)):
         lc = dl_element(elem, lc, chi)
         if not lc:
@@ -446,10 +433,10 @@ def omega2_action(v: WignerIndex, chi: Character) -> dict:
     from its collected form: dl(outer) dl(inner) v summed over the form in
     one accumulator."""
     mul_acc, settle = _summation(chi)
-    exact, one = chi.is_exact(), lift(_ONE, _lam(chi)[0])
+    one = lift(_ONE, chi.lam[0])
     acc = {}
     for inner, outer in _omega2_form():
-        lc = {v: one} if inner is None else _dl_label(inner, v, chi, exact)
+        lc = {v: one} if inner is None else _dl_label(inner, v, chi)
         _dl_element_acc(acc, outer, lc, chi, mul_acc)
     return settle(acc)
 
@@ -463,8 +450,8 @@ def casimir_check(vectors, chi: Character) -> bool:
     exactly at rational lambda; at complex lambda the diagonal and every
     other coefficient are within 1e-9 * max(1, |scalar|) of it and of 0.
     The diagonal must be present unless the scalar is 0."""
-    exact = chi.is_exact()
-    scalar = sp4.hc_omega2(_lam(chi))
+    exact = chi.exact
+    scalar = sp4.hc_omega2(chi.lam)
     expect, zero = (ExactScalar.of(scalar), ExactScalar(0)) if exact else (scalar, 0j)
     tol = 1e-9 * max(1.0, abs(scalar))
 
@@ -505,8 +492,8 @@ def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
 def action_matrix_json(beta, delta, lam, j_max, n_max) -> list[dict]:
     """dl(u_beta) on all admissible basis indices with j <= j_max, as a list
     of {from, to, coeff} with exact scalar strings."""
-    beta = NoncompactLabel.of(beta)
-    chi = Character(tuple(delta), tuple(lam))
+    beta = _noncompact(beta)
+    chi = Character(delta, tuple(lam))
     rows = []
     for (j, n, _mult) in ktypes(delta, j_max, n_max):
         for v in ktype_basis(j, n, delta):

@@ -320,17 +320,6 @@ def _jet(z0) -> LSeries1:
     return LSeries1(0, [Fraction(z0), Fraction(1)], _JET_HI)
 
 
-def _jet_poch(base: LSeries1, e: int) -> LSeries1:
-    out = LSeries1(0, [Fraction(1)], _JET_HI)
-    if e >= 0:
-        for i in range(e):
-            out = out * (base + i)
-        return out
-    for i in range(1, -e + 1):
-        out = out * (base - i)
-    return out.inverse()
-
-
 def _jet_value(total: LSeries1, what: str) -> Fraction:
     for e in range(total.min_exp, 0):
         if total.coeff(e):
@@ -390,7 +379,7 @@ def _s_3f2_params(jj: int, a: int, b: int, z) -> tuple:
 def _s_norm_closed_exact(j: HalfInt, m1: HalfInt, m2: HalfInt, z: Fraction) -> ExactScalar:
     jj, a, b = j.as_int(), m1.as_int(), m2.as_int()
     zj = _jet(z)
-    pref = _jet_poch(zj - Fraction(1, 2), -((a - b) // 2)) * _jet_poch(zj, jj).inverse()
+    pref = pochhammer(zj - Fraction(1, 2), -((a - b) // 2)) * pochhammer(zj, jj).inverse()
     total = sum(hyp_terms(*_s_3f2_params(jj, a, b, zj), 1, min(jj + a, jj - b)))
     rat = _jet_value(pref * total, "closed-form S at z=%s" % z)
     ghalf = gamma_half(Fraction(1 - 2 * jj - a + b, 2))
@@ -420,7 +409,7 @@ def hg_entry_ct(which: str, j, m1, m2, z) -> ExactScalar:
         raise ValueError("which must be 'H' or 'G'")
     f = hyp2f1_series(Fraction(fa), zj - 1 - jj, Fraction(-2 * jj), 1, npow)
     ct = product_coeff(f, binom_series(fpar, -1, npow), npow)
-    pref = _jet_poch(zj - Fraction(1, 2), -((a - b) // 2)) * _jet_poch(zj, jj).inverse()
+    pref = pochhammer(zj - Fraction(1, 2), -((a - b) // 2)) * pochhammer(zj, jj).inverse()
     rat = _jet_value(pref * ct, "[%s]_0 at z=%s" % (which, z))
     const = (ExactScalar(Fraction((-1) ** npow * math.factorial(2 * jj) * fac), 1, -1)
              * gam / (c_factor(j, m1) * c_factor(j, m2)))
@@ -432,7 +421,7 @@ def hg_entry_ct(which: str, j, m1, m2, z) -> ExactScalar:
 # ---------------------------------------------------------------------------
 
 def _stage_args(chi: Character) -> dict:
-    l1, l2 = chi.lam_frac if chi.is_exact() else chi.lam
+    l1, l2 = chi.lam
     return {
         "A1": (l1 - l2 + 1) / 2,
         "A2": (l1 + 1) / 2,
@@ -459,7 +448,7 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
             ent = _s_block(j, rows, cols, z, q_ratio)
         else:
             ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
-        if not isinstance(z, (int, Fraction)):
+        if not chi.exact:
             ent = [[require_finite(e) for e in row] for row in ent]
     return BlockMatrix((j, n), rows, cols, ent)
 
@@ -523,7 +512,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
             sgn = Fraction((-1) ** p)
             if pair_e.denominator == 1:
                 k = int(pair_e)
-                p_jet.append((_jet_poch(base, k) * _jet_poch(base, -k)).inverse() * sgn)
+                p_jet.append((pochhammer(base, k) * pochhammer(base, -k)).inverse() * sgn)
                 p_exact.append(ExactScalar(1))
             else:
                 p_jet.append(sgn)
@@ -538,7 +527,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
             f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half,
                                Fraction(-2 * jj), 1, order)
             row_jet.append([_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
-                            * _jet_poch((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps])
+                            * pochhammer((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps])
             row_gam.append([gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps])
             row_const.append(c_factor(j, m1).inverse())
 
@@ -551,7 +540,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
             f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half,
                                Fraction(-2 * jj), 1, order)
             col_jet.append([_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
-                            * _jet_poch((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
+                            * pochhammer((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
                             for p in ps])
             col_gam.append([gamma_half(Fraction(1 - eps + jj + b, 2) - p) * p_exact[p] for p in ps])
             with _named("stage A4 Pochhammer pair (argument %s)" % z4):
@@ -601,12 +590,12 @@ def genfun_vs_product(ktype, chi: Character):
     every raw entry is 0, and PoleError when the constant is 0.
     """
     j, n = HalfInt.of(ktype[0]), HalfInt.of(ktype[1])
-    delta = tuple(chi.delta)
+    delta = chi.delta
     if delta not in ((0, 0), (1, 1)):
         raise ValueError("generating function requires delta in {(0,0),(1,1)}")
     if not j.is_integer():
         raise ValueError("generating function requires integer j")
-    if not chi.is_exact():
+    if not chi.exact:
         raise ValueError("generating-function path is exact-only")
     jj = j.as_int()
     args = _stage_args(chi)
@@ -616,7 +605,7 @@ def genfun_vs_product(ktype, chi: Character):
                         % (j, n, jj, jj, args["A1"], args["A3"]))
     const = ExactScalar(const)
     ms = m_set(j, n, delta)
-    raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam_frac)
+    raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam)
     if all(g.is_zero() for row in raw for g in row):
         raise DegenerateBlock("degenerate block (%s,%s): every generating-function entry is 0"
                               % (j, n))

@@ -105,6 +105,9 @@ class LSeries1:
             out.append(-sum(u[k] * out[e - k] for k in range(1, e + 1)) * out[0])
         return LSeries1(-v, out, self.trunc - 2 * v)
 
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __repr__(self):
         bits = ["(%s)eps^%d" % (c, self.min_exp + i) for i, c in enumerate(self.coeffs) if c]
         return " + ".join(bits or ["0"]) + " + O(eps^%d)" % (self.trunc + 1)

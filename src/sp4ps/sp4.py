@@ -333,23 +333,6 @@ def weyl_reflection(simple: str) -> GMat:
     raise ValueError("simple root must be 'a1' or 'a2'")
 
 
-def gamma_element(label: str) -> GMat:
-    """The order-2 elements gamma_{a2} = exp(pi(U0-U3)),
-    gamma_{2a1+a2} = exp(pi(U0+U3)) generating M."""
-    if label == "a2":
-        k = chevalley("a2") - chevalley("a2").transpose()
-        return _exp_rotation(k, _e(1, 1) + _e(3, 3), -1, 0)
-    if label == "2a1+a2":
-        k = chevalley("2a1+a2") - chevalley("2a1+a2").transpose()
-        return _exp_rotation(k, _e(0, 0) + _e(2, 2), -1, 0)
-    raise ValueError("label must be 'a2' or '2a1+a2'")
-
-
-def m_group() -> list[GMat]:
-    g1, g2 = gamma_element("a2"), gamma_element("2a1+a2")
-    return [GMat.identity(), g1, g2, g1 @ g2]
-
-
 # ---------------------------------------------------------------------------
 # Weyl action on lambda
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError,
                          binomial, gamma_half, half_range,
                          hyp_terminating, hyp_terms, parse_scalar, pochhammer)
-from sp4ps.intertwine import _jet, _jet_poch
+from sp4ps.intertwine import _jet
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_hyp_terms_with_an_epsilon_jet_parameter():
     rest, bots, arg = [F(-4)], [F(5, 2)], F(2, 3)
     terms = hyp_terms([zj - 3] + rest, bots, arg, 6)
     for k, t in enumerate(terms):
-        want = _jet_poch(zj - 3, k) * _rf_term(rest, bots, arg, k)
+        want = pochhammer(zj - 3, k) * _rf_term(rest, bots, arg, k)
         assert (want - t).is_zero()
 
 
@@ -248,7 +248,18 @@ def test_float_agrees_with_exact(rng):
 
 def test_character():
     chi = Character((0, 1), (F(1, 2), F(3)))
-    assert chi.is_exact() and chi.lam_frac == (F(1, 2), F(3))
-    assert not Character((0, 0), (1 + 2j, 0.5j)).is_exact()
+    assert chi.exact and chi.lam == (F(1, 2), F(3))
+    assert not Character((0, 0), (1 + 2j, 0.5j)).exact
     with pytest.raises(ValueError):
         Character((2, 0), (F(1), F(1)))
+    # both parts rational: two Fractions; anything else: two complex numbers
+    exact = Character([0, 1], (2, F(3, 2)))
+    assert exact.delta == (0, 1) and [type(x) for x in exact.lam] == [F, F]
+    mixed = Character((0, 0), (F(5, 2), 1.5 + 0j))
+    assert not mixed.exact and mixed.lam == (2.5 + 0j, 1.5 + 0j)
+    assert [type(x) for x in mixed.lam] == [complex, complex]
+    # equal values in another arithmetic: never the same character
+    assert Character((0, 0), (F(5, 2), F(3, 2))) != Character((0, 0), (2.5 + 0j, 1.5 + 0j))
+    for lam in ((float("nan"), 1), (1, complex("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Character((0, 0), lam)

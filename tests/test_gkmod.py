@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from sp4ps import gkmod
 from sp4ps.exact import Character, ExactScalar, HalfInt, lift
-from sp4ps.gkmod import (DecompositionError, NoncompactLabel, action_matrix_json, bracket_check, casimir_check,
+from sp4ps.gkmod import (NONCOMPACT, DecompositionError, action_matrix_json, bracket_check, casimir_check,
                          check_index, chevalley_element,
                          cyc8_to_rsum, dl_element, dl_k_action, dl_p_action,
                          dl_word, dr_p_action, gmat_to_element, ktype_allowed,
@@ -139,10 +139,10 @@ def test_benchmark_names_of_the_coefficient_type():
 
 def test_dl_p_on_trivial_ktype():
     v = WignerIndex.of(0, 0, 0, 0)
-    l1, l2 = CHI.lam_frac
+    l1, l2 = CHI.lam
     for beta in ("b2", "b1+b2", "2b1+b2"):
         out = dl_p_action(beta, v, CHI)
-        mb = NoncompactLabel.of(beta).m_beta
+        mb = NONCOMPACT[beta][0]
         want = {
             WignerIndex.of(1, 1, mb, -1): ExactScalar(F(1, 2) * (l2 + 1), 2, 0, True),
             WignerIndex.of(1, 1, mb, 1): ExactScalar(F(1, 2) * (l1 + 2), 2, 0, True),
@@ -152,7 +152,7 @@ def test_dl_p_on_trivial_ktype():
 
 def test_dr_p_eigenvalues():
     # dr(u_{+-(2b1+b2)}) acts by i(-+n -+ m2 - (lambda1+2))/sqrt2
-    l1, l2 = CHI.lam_frac
+    l1, l2 = CHI.lam
     for (j, n, m1, m2) in [(1, 1, 0, 1), (2, 0, 1, 0), (2, 2, -1, 2)]:
         v = WignerIndex.of(j, n, m1, m2)
         up = dr_p_action("2b1+b2", v, CHI)
@@ -260,9 +260,8 @@ def test_omega2_form_matches_words_in_free_algebra(monkeypatch):
     p_map, k_map = _random_action("p"), _random_action("k")
     # dl of a catalog label reads the two action caches, so they are what
     # is replaced
-    monkeypatch.setattr(gkmod, "_dl_p_cached",
-                        lambda beta, v, chi, exact: p_map((beta.m_beta, beta.n_beta), v))
-    monkeypatch.setattr(gkmod, "_dl_k_cached", lambda gen, v: k_map(gen, v))
+    monkeypatch.setattr(gkmod, "_dl_p_cached", lambda lab, v, chi: p_map(lab, v))
+    monkeypatch.setattr(gkmod, "_dl_k_cached", lambda lab, v, exact: k_map(lab, v))
     vecs = _vectors((0, 0), 2, 2)
     assert len(vecs) == 89
     for v in vecs:
@@ -300,11 +299,11 @@ _CHEVALLEY_LABELS = ("H1", "H2") + ALL_ROOTS
 
 
 def _ref_dl_element(elem, lc, chi):
-    exact, like = chi.is_exact(), chi.lam[0]
+    like = chi.lam[0]
     out = {}
     for v, cv in lc.items():
         for lab, ce in elem.items():
-            out = lc_add(out, lc_scale(gkmod._dl_label(lab, v, chi, exact), lift(ce, like) * cv))
+            out = lc_add(out, lc_scale(gkmod._dl_label(lab, v, chi), lift(ce, like) * cv))
     return out
 
 
@@ -331,7 +330,7 @@ def _assert_canonical(lc):
 def _assert_matches_reference(got, ref, chi):
     """The same items in the same order at rational lambda; within 1e-12 of
     the largest reference coefficient at complex lambda."""
-    if chi.is_exact():
+    if chi.exact:
         assert list(got.items()) == list(ref.items())
         _assert_canonical(got)
         return
@@ -487,7 +486,7 @@ def test_dl_p_matches_principal_series_derivative(rng):
 
     h = 1e-6
     for beta in ("b2", "b1+b2", "2b1+b2", "-b2", "-b1-b2", "-2b1-b2"):
-        u = u_beta(*(lambda l: (l.m_beta, l.n_beta))(NoncompactLabel.of(beta))).to_numpy()
+        u = u_beta(*NONCOMPACT[beta]).to_numpy()
         for (j, n, m1, m2) in [(1, 1, 0, 1), (2, 0, 1, 0)]:
             v = WignerIndex.of(j, n, m1, m2)
             k0 = rand_k()
@@ -520,12 +519,25 @@ def test_dl_k_matches_numeric(rng):
 def test_dl_p_float_path_matches_exact():
     chi_e = Character((0, 0), (F(5, 2), F(3, 2)))
     chi_f = Character((0, 0), (2.5 + 0j, 1.5 + 0j))
+    # equal values, so only the character's exact field keeps the two apart
+    # in the action cache, whichever is computed first
+    assert chi_e != chi_f
     v = WignerIndex.of(2, 1, 1, 1)
-    exact = dl_p_action("b2", v, chi_e)
-    floaty = dl_p_action("b2", v, chi_f)
-    assert set(exact) == set(floaty)
-    for k in exact:
-        assert abs(exact[k].to_complex() - floaty[k]) < 1e-12
+    for first, second in ((chi_e, chi_f), (chi_f, chi_e)):
+        gkmod._dl_p_cached.cache_clear()
+        out = {chi.exact: dl_p_action("b2", v, chi) for chi in (first, second)}
+        exact, floaty = out[True], out[False]
+        assert all(type(c) is ExactScalar for c in exact.values())
+        assert all(type(c) is complex for c in floaty.values())
+        assert set(exact) == set(floaty)
+        for k in exact:
+            assert abs(exact[k].to_complex() - floaty[k]) < 1e-12
+
+
+def test_dl_k_action_rejects_a_gamma_name():
+    # the gamma basis is wigner.dl_gamma's; dl_k_action takes U0..U3
+    with pytest.raises(ValueError, match="'g\\+'"):
+        dl_k_action("g+", WignerIndex.of(1, 1, 0, 1))
 
 
 # SHA-256 of the module-layer outputs, recorded before the hot path was
@@ -572,7 +584,7 @@ def test_module_layer_outputs_pinned():
     got = {}
     for name, chi in MODULE_CHARS.items():
         vecs = _vectors(chi.delta, 1, 1)
-        one = ExactScalar(1) if chi.is_exact() else 1 + 0j
+        one = ExactScalar(1) if chi.exact else 1 + 0j
         got[(name, "omega2")] = _lc_digest(omega2_action(v, chi) for v in vecs)
         got[(name, "nested")] = _lc_digest(
             dl_element(x, dl_element(y, {v: one}, chi), chi) for v in vecs)

@@ -250,6 +250,14 @@ def test_simple_operator_rejects_unknown_kind():
             simple_operator(kind, (1, 1), CHI)
 
 
+def test_mixed_lambda_runs_on_the_float_path():
+    # one rational and one complex part: every stage is complex, as in gkmod
+    mixed = long_operator_product((2, 0), Character((0, 0), (F(5, 2), 1.5 + 0j)))
+    floaty = long_operator_product((2, 0), Character((0, 0), (2.5 + 0j, 1.5 + 0j)))
+    assert mixed.entries == floaty.entries
+    assert all(type(e) is complex for row in mixed.entries for e in row)
+
+
 def test_simple_operator_pole_reporting():
     with pytest.raises(PoleError) as err:
         simple_operator("A1", (1, 1), Character((0, 0), (F(1, 2), F(3, 2))))
@@ -320,7 +328,7 @@ def test_genfun_needs_no_product(monkeypatch):
             raise RuntimeError("product called")
         mp.setattr(intertwine, "long_operator_product", no_product)
         for chi, kts in cases:
-            l1, l2 = chi.lam_frac
+            l1, l2 = chi.lam
             for j, n in kts:
                 gm, c = genfun_vs_product((j, n), chi)
                 assert c == ExactScalar(_rising((l1 - l2 + 1) / 2, j) * _rising((l1 + l2 + 1) / 2, j))

@@ -7,9 +7,9 @@ from scipy.linalg import expm
 
 from sp4ps.sp4 import (ALL_ROOTS, CY_I, Cyc8, GMat, H1, H2, bracket,
                        cayley_check, chevalley, chi_alpha, coroot_matrix,
-                       decompose_chevalley, gamma_element,
+                       decompose_chevalley,
                        h_alpha, hc_omega2, hc_omega4, in_sp4, is_symplectic,
-                       iwasawa_exact_check, iwasawa_float_check, iwasawa_sl2, m_group, omega2_words, root_on_h,
+                       iwasawa_exact_check, iwasawa_float_check, iwasawa_sl2, omega2_words, root_on_h,
                        symplectic_inverse,
                        u2_generators, u_beta, v_beta, weyl_on_lambda,
                        weyl_reflection)
@@ -59,20 +59,6 @@ def test_weyl_reflections():
     U0, U1m, U2m, U3m = u2_generators()
     assert np.abs(w1.to_numpy() - expm(math.pi * U2m.to_numpy())).max() < 1e-12
     assert w2 @ w2 @ w2 @ w2 == GMat.identity()
-    assert w2 @ w2 == gamma_element("a2")
-    # squares land in M
-    assert any((w1 @ w1) == g for g in m_group())
-
-
-def test_m_group():
-    g1, g2 = gamma_element("a2"), gamma_element("2a1+a2")
-    assert g1 @ g1 == GMat.identity()
-    assert g2 @ g2 == GMat.identity()
-    assert g1 @ g2 == g2 @ g1
-    assert len({str(m.to_numpy().real.round(0).tolist()) for m in m_group()}) == 4
-    U0, _, _, U3 = u2_generators()
-    assert np.abs(g1.to_numpy() - expm(math.pi * (U0 - U3).to_numpy())).max() < 1e-12
-    assert np.abs(g2.to_numpy() - expm(math.pi * (U0 + U3).to_numpy())).max() < 1e-12
 
 
 def test_weyl_on_lambda():
