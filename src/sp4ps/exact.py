@@ -471,13 +471,16 @@ def pochhammer(a, n: int):
     n < 0.  Works for Fraction/int (exact), float/complex and epsilon-jet
     arguments alike.
     """
-    out = _one_like(a)
-    if n >= 0:
-        for i in range(n):
-            out = out * (a + i)
+    if n == 0:
+        return _one_like(a)
+    if isinstance(a, int):
+        a = Fraction(a)
+    # the product starts from its first factor, so a jet needs no unit
+    out, *factors = [a + i for i in range(n)] if n > 0 else [a - i for i in range(1, -n + 1)]
+    for f in factors:
+        out = out * f
+    if n > 0:
         return out
-    for i in range(1, -n + 1):
-        out = out * (a - i)
     if out == 0:
         raise PoleError("(%s)^(%d) hits a pole" % (a, n))
     return 1 / out

@@ -376,10 +376,10 @@ def _dl_label(lab, v: WignerIndex, chi: Character) -> dict:
 
 def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character, mul_acc) -> None:
     """acc += dl(elem) lc, each product added by ``mul_acc`` of chi's
-    arithmetic (``_summation``)."""
-    coefs = [(lab, lift(ce, chi.lam[0])) for lab, ce in elem.items()]
+    arithmetic (``_summation``); elem's coefficients are in that arithmetic
+    already (``exact.lift``)."""
     for v, cv in lc.items():
-        for lab, ce in coefs:
+        for lab, ce in elem.items():
             c = ce * cv
             for k, val in _dl_label(lab, v, chi).items():
                 mul_acc(acc, k, c, val)
@@ -389,7 +389,8 @@ def dl_element(elem, lc: dict, chi: Character) -> dict:
     """Apply dl of one algebra element to a linear combination."""
     mul_acc, settle = _summation(chi)
     acc = {}
-    _dl_element_acc(acc, _as_element(elem), lc, chi, mul_acc)
+    elem = {lab: lift(ce, chi.lam[0]) for lab, ce in _as_element(elem).items()}
+    _dl_element_acc(acc, elem, lc, chi, mul_acc)
     return settle(acc)
 
 
@@ -404,12 +405,16 @@ def dl_word(word, v: WignerIndex, chi: Character) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _omega2_form() -> tuple:
+def _omega2_form(exact: bool) -> tuple:
     """The Casimir collected in the catalog basis, as (inner, outer) pairs:
     omega2 = sum of outer * inner, where inner is the catalog label applied
     first (None for the linear part) and outer a {catalog label: ExactScalar}
     element.  Every word is expanded with its letter order kept and equal
-    monomials are summed exactly; no relation of g is used."""
+    monomials are summed exactly; no relation of g is used.  With exact
+    False the outer coefficients are lifted to complex, once per process."""
+    if not exact:
+        return tuple((lab, {k: lift(c, 0j) for k, c in outer.items()})
+                     for lab, outer in _omega2_form(True))
     mul_acc = ExactScalar.mul_acc
     form, linear = {}, {}
     for coef, word in omega2_words():      # words of one or two letters
@@ -435,7 +440,7 @@ def omega2_action(v: WignerIndex, chi: Character) -> dict:
     mul_acc, settle = _summation(chi)
     one = lift(_ONE, chi.lam[0])
     acc = {}
-    for inner, outer in _omega2_form():
+    for inner, outer in _omega2_form(chi.exact):
         lc = {v: one} if inner is None else _dl_label(inner, v, chi)
         _dl_element_acc(acc, outer, lc, chi, mul_acc)
     return settle(acc)

@@ -20,6 +20,14 @@ product and genfun_check compares the two entry by entry.  Both
 routes compute a block as a whole: a factor that depends on one index only
 (a row, a column, an m4 or a p) is built once per block.
 
+Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
+the closed form's prefactor) is one call of _gamma_ratio, exact at
+half-integer arguments and complex at complex ones, with one pole rule on
+both paths: a Gamma of the denominator at its pole makes the ratio 0, and
+an excess of numerator poles is a PoleError (on the float path a
+non-finite value, which simple_operator and s_entry_3f2 reject through
+require_finite).
+
 Removable singularities (a prefactor pole cancelling a vanishing
 hypergeometric sum, and the spurious per-term poles of the long-operator
 generating function on lambda1 hyperplanes) are evaluated by perturbing the
@@ -102,18 +110,10 @@ class BlockMatrix:
         return BlockMatrix(self.ktype, list(self.row_index), list(other.col_index), rows)
 
     def is_identity(self) -> bool:
-        if self.row_index != self.col_index:
-            return False
-        for i in range(len(self.row_index)):
-            for k in range(len(self.col_index)):
-                e = self.entries[i][k]
-                want = 1 if i == k else 0
-                if isinstance(e, ExactScalar):
-                    if e != ExactScalar.of(want):
-                        return False
-                elif abs(e - want) > 1e-10:
-                    return False
-        return True
+        """Exactly the identity (exact entries)."""
+        return self.row_index == self.col_index and all(
+            e == ExactScalar(int(i == k))
+            for i, row in enumerate(self.entries) for k, e in enumerate(row))
 
     def scale(self, c) -> "BlockMatrix":
         return BlockMatrix(self.ktype, list(self.row_index), list(self.col_index),
@@ -124,58 +124,59 @@ class BlockMatrix:
 # Q factor
 # ---------------------------------------------------------------------------
 
-def _gamma_meromorphic(args_num, args_den):
-    """Product/ratio of Gammas at half-integer points with pole bookkeeping.
+def _gamma_ratio(num, den, pole_msg: str):
+    """prod Gamma(a) over num / prod Gamma(a) over den, each argument an
+    (a, slope) pair with slope the rate of a in the underlying variable.
 
-    Each argument comes with the slope of its dependence on the underlying
-    variable, so equal-order numerator/denominator poles yield the correct
-    directional limit.  Returns (value, net pole order); the value is the
-    limit of the regular factor.
+    At exact half-integer arguments a pole Gamma(x) ~ (-1)^p/(p! slope
+    (z-z0)) is counted with its slope: a numerator excess raises
+    PoleError(pole_msg), a denominator excess gives 0, and equal orders give
+    the directional limit.  At float or complex arguments it is scipy's
+    gamma times rgamma (1/Gamma is entire), so a denominator pole is 0 there
+    too; a numerator pole is not finite there.
     """
-    val = ExactScalar(1)
-    order = 0
-    for a, slope in args_num:
-        if a.is_integer() and a.as_int() <= 0:
-            p = -a.as_int()
-            order += 1
-            # Gamma(x) ~ (-1)^p/(p! (x+p)), x+p = slope*(z-z0)
-            val = val * ExactScalar(Fraction((-1) ** p) / (math.factorial(p) * Fraction(slope)))
-        else:
-            val = val * gamma_half(a)
-    for a, slope in args_den:
-        if a.is_integer() and a.as_int() <= 0:
-            p = -a.as_int()
-            order -= 1
-            val = val / ExactScalar(Fraction((-1) ** p) / (math.factorial(p) * Fraction(slope)))
-        else:
-            val = val / gamma_half(a)
-    return val, order
+    if any(isinstance(a, (float, complex)) for a, _ in num + den):
+        from scipy.special import gamma, rgamma
+        # Python complex products: an infinite Gamma times 0 is NaN, no warning
+        out, *rest = ([complex(gamma(complex(a))) for a, _ in num]
+                      + [complex(rgamma(complex(a))) for a, _ in den])
+        for x in rest:
+            out = out * x
+        return out
+    val, order = ExactScalar(1), 0
+    for args, sign in ((num, 1), (den, -1)):
+        for a, slope in args:
+            a = HalfInt.of(a)
+            if a.is_integer() and a.as_int() <= 0:
+                p = -a.as_int()
+                order += sign
+                g = ExactScalar(Fraction((-1) ** p) / (math.factorial(p) * Fraction(slope)))
+            else:
+                g = gamma_half(a)
+            val = val * g if sign > 0 else val / g
+    if order > 0:
+        raise PoleError(pole_msg)
+    return ExactScalar(0) if order < 0 else val
 
 
 def q_factor(z, nu):
     """Q(z,nu) = pi 2^{2-2z} Gamma(2z-1) / (Gamma(z+nu) Gamma(z-nu)).
 
-    Exact at half-integer z; complex z runs on the float path.  A pole
-    excess in the numerator raises; denominator-dominated points are an
-    exact zero.
+    Exact at half-integer z; complex z runs on the float path.  Both take
+    the Gammas from _gamma_ratio: a pole excess in the numerator raises, and
+    a Gamma of the denominator at its pole makes Q zero.
     """
     if isinstance(z, (int, Fraction)):
         z = Fraction(z)
         nu = nu.frac if isinstance(nu, HalfInt) else Fraction(nu)
         if (2 * z).denominator != 1:
             raise ValueError("exact Q needs a half-integer z, got %s" % z)
-        num = [(HalfInt.of(2 * z - 1), 2)]
-        den = [(HalfInt.of(z + nu), 1), (HalfInt.of(z - nu), 1)]
-        val, order = _gamma_meromorphic(num, den)
-        if order > 0:
-            raise PoleError("Q(%s,%s): uncancelled Gamma(2z-1) pole" % (z, nu))
-        if order < 0:
-            return ExactScalar(0)
-        return ExactScalar(Fraction(2) ** int(2 - 2 * z), 1, 2) * val
-    from scipy.special import gamma as cgamma
-    z = complex(z)
-    nu = complex(float(nu) if isinstance(nu, HalfInt) else nu)
-    return math.pi * 2 ** (2 - 2 * z) * cgamma(2 * z - 1) / (cgamma(z + nu) * cgamma(z - nu))
+    else:
+        z = complex(z)
+        nu = complex(float(nu) if isinstance(nu, HalfInt) else nu)
+    gam = _gamma_ratio([(2 * z - 1, 2)], [(z + nu, 1), (z - nu, 1)],
+                       "Q(%s,%s): uncancelled Gamma(2z-1) pole" % (z, nu))
+    return lift(ExactScalar(1, 1, 2), z) * 2 ** (2 - 2 * z) * gam
 
 
 def q_ratio(z, m):
@@ -184,10 +185,10 @@ def q_ratio(z, m):
 
     Integer m: the rational function (z-|m|)^(|m|)/(z)^(|m|), exact at
     rational z and complex at complex z; a vanishing (z)^(|m|) is a pole.
-    Half-odd m (half-integer-spin blocks, delta=(1,1) exponents): exact
-    Gammas at half-integer z, scipy Gammas at complex z; any other rational
-    z raises UnsupportedExactInput.  A pole of Gamma(z) raises PoleError on
-    the exact path and gives a non-finite value on the float path.
+    Half-odd m (half-integer-spin blocks, delta=(1,1) exponents): the Gamma
+    ratio of _gamma_ratio, exact at half-integer z and complex at complex z,
+    with one pole rule on both paths (a denominator pole gives 0); any other
+    rational z raises UnsupportedExactInput.
     """
     m = HalfInt.of(m)
     exact = isinstance(z, (int, Fraction))
@@ -199,20 +200,12 @@ def q_ratio(z, m):
             raise PoleError("Pochhammer pair pole: (%s)^(%d) = 0" % (z, k))
         val = pochhammer(z - k, k) / den
         return ExactScalar.of(val) if exact else val
-    mf = abs(m.frac)
-    if not exact:
-        # 1/Gamma is entire: a denominator pole gives 0, as on the exact path
-        from scipy.special import gamma, rgamma
-        return gamma(z) ** 2 * rgamma(z + float(mf)) * rgamma(z - float(mf))
-    if (2 * z).denominator != 1:
+    if exact and (2 * z).denominator != 1:
         raise UnsupportedExactInput("half-odd Pochhammer pair exponent %s needs a "
                                     "half-integer argument, got %s" % (m, z))
-    val, order = _gamma_meromorphic(
-        [(HalfInt.of(z), 1), (HalfInt.of(z), 1)],
-        [(HalfInt.of(z + mf), 1), (HalfInt.of(z - mf), 1)])
-    if order > 0:
-        raise PoleError("Pochhammer pair pole at %s" % z)
-    return ExactScalar(0) if order < 0 else val
+    mf = abs(m.frac) if exact else abs(float(m))
+    return _gamma_ratio([(z, 1), (z, 1)], [(z + mf, 1), (z - mf, 1)],
+                        "Pochhammer pair pole at %s" % z)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +326,16 @@ def _jet_value(total: LSeries1, what: str) -> Fraction:
 
 def _s00(z: Fraction) -> ExactScalar:
     """S^{(0,n)}_{0,0}(z) = sqrt(pi) Gamma(z-1/2)/Gamma(z)."""
-    val, order = _gamma_meromorphic([(HalfInt.of(z - Fraction(1, 2)), 1)],
-                                    [(HalfInt.of(z), 1)])
-    if order > 0:
-        raise PoleError("S00 pole at z=%s" % z)
-    if order < 0:
-        return ExactScalar(0)
-    return ExactScalar(1, 1, 1) * val
+    return ExactScalar(1, 1, 1) * _gamma_ratio([(z - Fraction(1, 2), 1)], [(z, 1)],
+                                               "S00 pole at z=%s" % z)
 
 
 def s_entry_3f2(j, n, m1, m4, z):
     """Closed-form S^{j,n}_{m1,m4}(z): terminating 3F2 at unit argument with
     its Gamma/Pochhammer prefactor.  Equals s_entry_sum wherever both are
-    defined; removable prefactor poles are taken as limits."""
+    defined; removable prefactor poles are taken as limits.  On the float
+    path they (poles of Gamma((2z-m1+m4-1)/2)) lie at real half-odd z,
+    which is binary-exact, so the exact value is returned there."""
     j, m1, m4 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m4)
     if not j.is_integer():
         raise ValueError("closed form assumes integer j (delta in {(0,0),(1,1)})")
@@ -356,17 +346,21 @@ def s_entry_3f2(j, n, m1, m4, z):
         if (2 * z).denominator != 1:
             raise ValueError("exact closed form needs half-integer z")
         return _s00(z) * _s_norm_closed_exact(j, m1, m4, z)
-    from scipy.special import gamma as cgamma
     jj, a, b = j.as_int(), m1.as_int(), m4.as_int()
+    zc = complex(z)
+    top = (2 * zc - a + b - 1) / 2
+    if top.imag == 0 and top.real <= 0 and top.real.is_integer():
+        return s_entry_3f2(j, n, m1, m4, Fraction(zc.real)).to_complex()
     # the terminating 3F2 cancels heavily at some z, so it is summed exactly
     # at the (binary-exact) Gaussian rational z and rounded once
-    zc = complex(z)
     zq = ExactScalar(Fraction(zc.real)) + ExactScalar(Fraction(zc.imag), 1, 0, True)
     terms = hyp_terms(*_s_3f2_params(jj, a, b, zq), 1, min(jj + a, jj - b))
     f = sum(terms, ExactScalar(0)).to_complex()
     pref = (-1) ** ((a + b) // 2) * math.factorial(2 * jj) * math.pi \
         / (c_factor(j, m1).to_complex() * c_factor(j, m4).to_complex())
-    return pref * cgamma((2 * z - a + b - 1) / 2) / (cgamma((-2 * jj - a + b + 1) / 2) * cgamma(jj + z)) * f
+    gam = _gamma_ratio([(top, 1)], [((-2 * jj - a + b + 1) / 2, 1), (jj + zc, 1)],
+                       "closed-form S prefactor pole at z=%s" % z)
+    return require_finite(pref * gam * f)
 
 
 def _s_3f2_params(jj: int, a: int, b: int, z) -> tuple:
@@ -544,8 +538,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
                             for p in ps])
             col_gam.append([gamma_half(Fraction(1 - eps + jj + b, 2) - p) * p_exact[p] for p in ps])
             with _named("stage A4 Pochhammer pair (argument %s)" % z4):
-                tpair = q_ratio(z4, Fraction(b - nn, 2))
-            col_const.append(ExactScalar.i_power(-nn + b) * tpair / c_factor(j, m2))
+                col_const.append(t_norm(n, m2, z4) / c_factor(j, m2))
 
         # i^{-n+j-2p-eps} = i^{j-n-eps} * (-1)^p: a fixed phase times a sign
         const = ExactScalar(Fraction(math.factorial(2 * jj)) ** 2, 1, -2) \
@@ -699,8 +692,7 @@ def mellin_numeric_check(z: float, m) -> bool:
     from scipy.integrate import quad
     if z <= 0.5:
         raise ValueError("need z > 1/2 for absolute convergence")
-    m = HalfInt.of(m) if not isinstance(m, HalfInt) else m
-    mf = float(m)
+    mf = float(HalfInt.of(m))
 
     def integrand(u):
         return 2.0 * math.sin(u) ** (2 * z - 2) * math.cos(2 * mf * (math.pi / 2 - u))
@@ -708,11 +700,7 @@ def mellin_numeric_check(z: float, m) -> bool:
     val, err = quad(integrand, 0.0, math.pi / 2, limit=200)
     if err > 1e-9 * max(1.0, abs(val)):
         raise QuadratureError("quadrature error estimate %g too large" % err)
-    zf = Fraction(z).limit_denominator(10 ** 9)
-    if (2 * zf).denominator == 1:
-        q = q_factor(zf, m).to_complex().real
-    else:
-        q = q_factor(complex(z), float(m)).real
+    q = q_factor(complex(z), mf).real
     return abs(val - q) <= 1e-8 * max(1.0, abs(q))
 
 

@@ -106,7 +106,8 @@ class LSeries1:
         return LSeries1(-v, out, self.trunc - 2 * v)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        inv = self.inverse()
+        return inv if other == 1 else inv * other
 
     def __repr__(self):
         bits = ["(%s)eps^%d" % (c, self.min_exp + i) for i, c in enumerate(self.coeffs) if c]

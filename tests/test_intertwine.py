@@ -161,6 +161,20 @@ def test_closed_form_float_path_matches_mpmath():
                             assert abs(mp.mpc(got) - want) <= 1e-13 * abs(want), (z, j, a, b)
 
 
+def test_closed_form_float_path_at_cancelling_prefactor_poles():
+    # where Gamma((2z-m1+m4-1)/2) has a pole that the 3F2 cancels (real
+    # half-odd z), the float closed form is finite and equals the exact one
+    points = [(j, a, b, z) for j in range(4) for a in range(-j, j + 1) for b in range(-j, j + 1)
+              for z in (F(3, 2), F(5, 2), F(7, 2))
+              if (a - b) % 2 == 0 and 2 * z - a + b - 1 <= 0]
+    assert len(points) == 20
+    for j, a, b, z in points:
+        want = s_entry_3f2(j, 0, a, b, z).to_complex()
+        got = s_entry_3f2(j, 0, a, b, complex(z))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (j, a, b, z, got, want)
+    assert s_entry_3f2(1, 0, 1, -1, complex(1.5)) == 4 / 3
+
+
 def _values(x) -> dict:
     return {k: complex(v) for k, v in x.items()} if isinstance(x, dict) else {None: complex(x)}
 
@@ -187,6 +201,10 @@ FLOAT_PATH_CASES = {
                           lambda: s_entry_sum(2, 0, 2, 0, complex(5 / 2))),
     "s_entry_sum-1-1-1": (lambda: s_entry_sum(1, 0, 1, -1, F(7, 2)),
                           lambda: s_entry_sum(1, 0, 1, -1, complex(7 / 2))),
+    # integer z: a Gamma of Q's denominator at its pole is 0 on both paths
+    "q_factor-denominator-pole": (lambda: q_factor(F(1), 1), lambda: q_factor(complex(1), 1)),
+    "s_entry_sum-integer-1": (lambda: s_entry_sum(1, 0, 1, 1, F(1)), lambda: s_entry_sum(1, 0, 1, 1, complex(1))),
+    "s_entry_sum-integer-2": (lambda: s_entry_sum(2, 0, 2, 0, F(2)), lambda: s_entry_sum(2, 0, 2, 0, complex(2))),
     "t_norm-integer": (lambda: t_norm(2, 0, F(7, 3)), lambda: t_norm(2, 0, complex(7 / 3))),
     "t_norm-integer-4": (lambda: t_norm(-1, 3, F(-5, 2)), lambda: t_norm(-1, 3, complex(-5 / 2))),
     "t_norm-half-odd": (lambda: t_norm(0, 1, F(7, 2)), lambda: t_norm(0, 1, complex(7 / 2))),
