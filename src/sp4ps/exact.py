@@ -9,9 +9,10 @@ with q rational, r a positive squarefree integer, p an integer and k in
 {0,1} (the sign of q supplies the other half of the 4-cycle of i-powers).
 ``ExactScalar`` holds such a sum as {(r, p, im): q}; it is a ring, and the
 inverse is defined for a single monomial.  A linear combination of such
-sums is built in integer scratch form (``ExactScalar.mul_acc``) and turned
-into reduced values once per output coefficient (``ExactScalar.settle``);
-``__mul__`` and ``mul_acc`` share one product rule for radical monomials.
+sums is built in integer scratch form (``_mul_acc``, on {radical key:
+(numerator, denominator)} dicts) and turned into reduced values once per
+output coefficient (``ExactScalar.settle``); ``__mul__`` and ``_mul_acc``
+share one product rule for radical monomials.
 The complex floating-point fallback is plain ``complex``; an exact constant
 enters a float computation only through ``lift``.
 """
@@ -187,6 +188,46 @@ def _merge(out: dict, key, q) -> None:
         out[key] = q
 
 
+def _mul_acc(acc: dict, index, a, b) -> None:
+    """acc[index] += a * b, with no Fraction and no ExactScalar made.
+
+    ``a`` and ``b`` are in integer scratch form: {radical key: (numerator,
+    denominator)} with nonzero numerators and positive denominators
+    (``ExactScalar.scratch``), or a cell of an accumulator.  ``acc`` maps an
+    index to a cell {radical key: [numerator, denominator]}, unreduced; two
+    denominators combine by their lcm.  A key whose numerator reaches 0 is
+    dropped, and an index whose terms all cancel is deleted, so it goes last
+    if it comes back.  ``ExactScalar.from_scratch`` turns a cell into an
+    ExactScalar.
+    """
+    cell = acc.get(index)
+    if cell is None:
+        cell = acc[index] = {}
+    bterms = b.items()
+    for k1, (n1, d1) in a.items():
+        for k2, (n2, d2) in bterms:
+            key, f = _radical_product(k1, k2)
+            n = n1 * n2 * f
+            d = d1 * d2
+            old = cell.get(key)
+            if old is None:
+                cell[key] = [n, d]
+                continue
+            n0, d0 = old
+            if d0 == d:
+                n += n0
+            else:
+                g = math.gcd(d0, d)
+                n = n0 * (d // g) + n * (d0 // g)
+                d = d0 // g * d
+            if n:
+                old[0], old[1] = n, d
+            else:
+                del cell[key]
+    if not cell:
+        del acc[index]
+
+
 class ExactScalar:
     """A finite sum of q * sqrt(r) * pi^(p/2) * i^k.
 
@@ -291,50 +332,27 @@ class ExactScalar:
 
     # -- linear combinations in integer scratch form ------------------------
 
+    def scratch(self) -> dict:
+        """The terms in integer scratch form, {radical key: (numerator,
+        denominator)}: the operand form of ``_mul_acc``."""
+        return {k: (q.numerator, q.denominator) for k, q in self.terms.items()}
+
+    @staticmethod
+    def from_scratch(cell: dict) -> "ExactScalar":
+        """The ExactScalar of a scratch form or cell with nonzero
+        numerators: one reduced Fraction per term, in its key order."""
+        return ExactScalar._wrap({k: Fraction(n, d) for k, (n, d) in cell.items()})
+
     @staticmethod
     def mul_acc(acc: dict, index, a: "ExactScalar", b: "ExactScalar") -> None:
-        """acc[index] += a * b, with no Fraction and no ExactScalar made.
-
-        ``acc`` maps an index to {radical key: [numerator, denominator]},
-        unreduced with a positive denominator; two denominators combine by
-        their lcm.  A key whose numerator reaches 0 is dropped, and an
-        index whose terms all cancel is deleted, so it goes last if it
-        comes back.  ``settle`` turns the scratch into ExactScalars.
-        """
-        cell = acc.get(index)
-        if cell is None:
-            cell = acc[index] = {}
-        bterms = b.terms.items()
-        for k1, q1 in a.terms.items():
-            n1, d1 = q1.numerator, q1.denominator
-            for k2, q2 in bterms:
-                key, f = _radical_product(k1, k2)
-                n = n1 * q2.numerator * f
-                d = d1 * q2.denominator
-                old = cell.get(key)
-                if old is None:
-                    cell[key] = [n, d]
-                    continue
-                n0, d0 = old
-                if d0 == d:
-                    n += n0
-                else:
-                    g = math.gcd(d0, d)
-                    n = n0 * (d // g) + n * (d0 // g)
-                    d = d0 // g * d
-                if n:
-                    old[0], old[1] = n, d
-                else:
-                    del cell[key]
-        if not cell:
-            del acc[index]
+        """acc[index] += a * b in integer scratch form (``_mul_acc``)."""
+        _mul_acc(acc, index, a.scratch(), b.scratch())
 
     @staticmethod
     def settle(acc: dict) -> dict:
-        """{index: ExactScalar} from ``mul_acc`` scratch, in its index
+        """{index: ExactScalar} from ``_mul_acc`` scratch, in its index
         order: one reduced Fraction per term."""
-        return {index: ExactScalar._wrap({k: Fraction(n, d) for k, (n, d) in cell.items()})
-                for index, cell in acc.items()}
+        return {index: ExactScalar.from_scratch(cell) for index, cell in acc.items()}
 
     def inverse(self) -> "ExactScalar":
         """1/x of a single term; a sum of several terms has no inverse here."""

@@ -16,45 +16,52 @@ the radical basis sqrt(r)*pi^(p/2)*i^k, at rational lambda and complex
 numbers at complex lambda; ``exact.Character`` fixes which, and this
 module reads lambda only as the character stores it.  Both come from one
 formula: its exact factors (Clebsch-Gordan values, i/sqrt2, ladder square
-roots) become complex only where they meet a complex lambda, through
-``exact.lift``.
+roots) become complex only where they meet a complex lambda (``_Float``,
+and ``exact.lift`` in ``dr_p_action``).
 
 The ten generators have one name inside this module, their catalog label:
 ("u", m_beta, n_beta) for the noncompact u_beta and ("U", i) for the
-compact U_i.  dl of a label on a basis vector is cached by (label,
-vector, character); a compact action does not depend on lambda, so its
-cache takes the character's ``exact`` field instead, and the complex
-entry is lifted from the exact one once.  ``dl_p_action`` also takes a
-root name or the weights (m_beta, n_beta), and ``dl_k_action`` takes
-"U0".."U3".
+compact U_i.  ``dl_p_action`` also takes a root name or the weights
+(m_beta, n_beta), and ``dl_k_action`` takes "U0".."U3".
+
+The generators act through one table per character (``_table``): each
+basis vector gets an integer id on first sight, and dl of a label on a
+vector is a row of (target id, coefficient), built once when it is first
+read (``_dl_row``), so dl of a label is a row lookup.  Tables are filled
+under a lock, so ``verify``'s threads may share them, and only the tables
+of the last ``_TABLES_KEPT`` characters are kept.  The pieces of a row
+that do not depend on lambda (Clebsch-Gordan values, ladder factors, the
+compact actions) are cached by their integer arguments.
 
 Linear combinations are dicts {basis index: coefficient}.  dl of an
-element or of the Casimir is summed by one kernel, with the multiply-add
-of the character's arithmetic (``_summation``).  At rational lambda that
-is integer scratch form (``ExactScalar.mul_acc``): each product of two
-coefficients is added into its output index without making a Fraction,
-and each output coefficient is reduced once at the end
-(``ExactScalar.settle``).  At complex lambda each product is added in
-place, term by term in the same order, so a float result has the same
-bits on every run.  An index whose terms all cancel leaves the sum and
-goes last if it comes back, so the key order is the one of adding term
-by term.  ``lc_add`` and ``lc_scale`` return new dicts.
+element, of the Casimir and of a bracket are summed over ids by one
+kernel (``_accumulate``) in the character's arithmetic.  At rational
+lambda (``_Scratch``) a coefficient is in the integer scratch form of
+``exact._mul_acc``, rows included, so each product is added into its
+output id without making a Fraction or an ExactScalar.  At complex lambda
+(``_Float``) each product is added in place, term by term in the same
+order, so a float result has the same bits on every run.  Each output
+coefficient is settled once, back to a basis vector and an ExactScalar
+or complex.  An index whose terms all cancel leaves the sum and goes last
+if it comes back, so the key order is the one of adding term by term.
+``lc_add`` and ``lc_scale`` return new dicts.
 
 The Casimir is applied in collected form: its Chevalley words, expanded
 once per process in the catalog basis {u_beta, U_i} with letter order
 kept, give one outer element for each catalog label applied first, plus a
-linear part.  One vector then costs dl of the ten inner labels (cached)
-and one ``dl_element`` per inner label, not the eight words letter by
-letter.
+linear part.  One vector then costs the rows of the ten inner labels and
+one kernel pass per inner label, not the eight words letter by letter.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, _merge, half_range, lift
+from .exact import Character, ExactScalar, HalfInt, _merge, _mul_acc, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1, dl_gamma
 
@@ -173,34 +180,30 @@ def lc_scale(a: dict, c) -> dict:
     return {k: c * v for k, v in a.items()}
 
 
-def _complex_mul_acc(acc: dict, index, a: complex, b: complex) -> None:
-    """acc[index] += a * b in place: ``ExactScalar.mul_acc`` at complex
-    lambda.  Its scratch is already the result, so ``dict`` settles it."""
-    _merge(acc, index, a * b)
-
-
-def _summation(chi: Character) -> tuple:
-    """The (mul_acc, settle) pair of chi's arithmetic: integer scratch at
-    rational lambda, complex numbers otherwise."""
-    if chi.exact:
-        return ExactScalar.mul_acc, ExactScalar.settle
-    return _complex_mul_acc, dict
-
-
 # ---------------------------------------------------------------------------
 # left action of p_C
 # ---------------------------------------------------------------------------
 
-def _cg(j, m1, m2: int, j0: int) -> ExactScalar:
+# keyed by twice j and twice m1: it does not depend on lambda
+@lru_cache(maxsize=None)
+def _cg(tj: int, tm1: int, m2: int, j0: int) -> dict:
+    """<j+j0, m1+m2 | j, m1, 1, m2> in integer scratch form; {} out of range."""
     try:
-        return clebsch_gordan_j1(j, m1, m2, j0)
+        return clebsch_gordan_j1(HalfInt(tj), HalfInt(tm1), m2, j0).scratch()
     except OutOfRange:
-        return ExactScalar(0)
+        return {}
 
 
 _ONE = ExactScalar(1)
 _I_OVER_SQRT2 = ExactScalar(Fraction(1, 2), 2, 0, True)   # i/sqrt2
 _I = ExactScalar.i_power(1)
+
+
+# keyed by twice j and twice m2: it does not depend on lambda
+@lru_cache(maxsize=None)
+def _ladder(tj: int, tm2: int) -> ExactScalar:
+    """-i sqrt((j - m2)(j + m2 + 1)), the m2-ladder factor of dr(u_nu)."""
+    return -_I * ExactScalar.sqrt_rational((tj - tm2) * (tj + tm2 + 2) // 4)
 
 
 def _dr_terms(lab: tuple, j, n, m2, lam):
@@ -209,19 +212,17 @@ def _dr_terms(lab: tuple, j, n, m2, lam):
     lambda and stay exact; the affine factor is a Fraction at rational
     lambda and complex at complex lambda."""
     l1, l2 = lam
-    nf, m2f = n.frac, m2.frac
+    tn, tm2 = n.twice, m2.twice
     if lab[2] == 1:
-        lad = (j - m2).frac * (j + m2 + 1).frac
         return [
-            (-1, _I_OVER_SQRT2, -nf + m2f - (l2 + 1), 0),
-            (1, _I_OVER_SQRT2, -nf - m2f - (l1 + 2), 0),
-            (0, -_I * ExactScalar.sqrt_rational(lad), 1, 1),
+            (-1, _I_OVER_SQRT2, Fraction(tm2 - tn, 2) - (l2 + 1), 0),
+            (1, _I_OVER_SQRT2, Fraction(-tn - tm2, 2) - (l1 + 2), 0),
+            (0, _ladder(j.twice, tm2), 1, 1),
         ]
-    lad = (j + m2).frac * (j - m2 + 1).frac
     return [
-        (1, _I_OVER_SQRT2, nf - m2f - (l2 + 1), 0),
-        (-1, _I_OVER_SQRT2, nf + m2f - (l1 + 2), 0),
-        (0, -_I * ExactScalar.sqrt_rational(lad), 1, -1),
+        (1, _I_OVER_SQRT2, Fraction(tn - tm2, 2) - (l2 + 1), 0),
+        (-1, _I_OVER_SQRT2, Fraction(tn + tm2, 2) - (l1 + 2), 0),
+        (0, _ladder(j.twice, -tm2), 1, -1),
     ]
 
 
@@ -245,33 +246,13 @@ def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     return dict(_dl_p_cached(_noncompact(beta), v, chi))
 
 
-# keyed by (catalog label, basis vector, chi); chi's exact field keeps exact
-# and float characters apart.  The cached dicts are shared: dl_p_action
-# hands out copies, and _dl_label only reads them.
-@lru_cache(maxsize=None)
+# keyed by (catalog label, basis vector, chi): the settled view of one row of
+# chi's table, for dl_p_action.  Bounded, so that it does not grow across
+# characters; the cached dicts are shared, and dl_p_action hands out copies.
+@lru_cache(maxsize=1024)
 def _dl_p_cached(lab: tuple, v: WignerIndex, chi: Character) -> dict:
-    mul_acc, settle = _summation(chi)
-    j, m1, m2 = v.j, v.m1, v.m2
-    lam = chi.lam
-    _, m_beta, n_beta = lab
-    # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
-    tj, tn, tm1 = j.twice, v.n.twice + 2 * n_beta, m1.twice + 2 * m_beta
-    out = {}
-    for m_nu, factor, affine, shift in _dr_terms(lab, j, v.n, m2, lam):
-        tm2p = m2.twice + 2 * shift
-        coef = -lift(factor, lam[0]) * affine
-        if not coef or abs(tm2p) > tj:
-            continue
-        tm2 = tm2p + 2 * m_nu
-        for j0 in (-1, 0, 1):
-            tjt = tj + 2 * j0
-            if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1) > tjt or abs(tm2) > tjt:
-                continue
-            c = _cg(j, m1, m_beta, j0) * _cg(j, HalfInt(tm2p), m_nu, j0)
-            if c:
-                tgt = WignerIndex(HalfInt(tjt), HalfInt(tn), HalfInt(tm1), HalfInt(tm2))
-                mul_acc(out, tgt, lift(c, coef), coef)
-    return settle(out)
+    table = _table(chi)
+    return table.settle(table.row(lab, table.id(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +264,17 @@ def dl_k_action(gen, v: WignerIndex) -> dict:
     basis g0, g3, g+, g-).  Coefficients are ExactScalar."""
     if gen not in ("U0", "U1", "U2", "U3"):
         raise ValueError("unknown compact generator %r: dl_k_action takes U0..U3" % (gen,))
-    return dict(_dl_k_cached(("U", int(gen[1])), v, True))
+    return dict(_dl_k_cached(("U", int(gen[1])), v))
 
 
 _HALF = ExactScalar(Fraction(1, 2))
 _MINUS_I_HALF = ExactScalar(Fraction(-1, 2), 1, 0, True)    # 1/(2i) = -i/2
 
 
-# keyed by (catalog label ("U", i), basis vector, exact); the complex entry
-# is lifted from the exact one once.  Shared like _dl_p_cached.
+# keyed by (catalog label ("U", i), basis vector): a compact action does not
+# depend on lambda.  Shared like _dl_p_cached.
 @lru_cache(maxsize=None)
-def _dl_k_cached(lab: tuple, v: WignerIndex, exact: bool) -> dict:
-    if not exact:
-        return {k: c.to_complex() for k, c in _dl_k_cached(lab, v, True).items()}
+def _dl_k_cached(lab: tuple, v: WignerIndex) -> dict:
     i = lab[1]
     if i in (0, 3):    # U0 = gamma_0, U3 = gamma_3
         return dl_gamma("g0" if i == 0 else "g3", v)
@@ -306,6 +285,199 @@ def _dl_k_cached(lab: tuple, v: WignerIndex, exact: bool) -> dict:
         for k, val in act.items():
             ExactScalar.mul_acc(acc, k, c, val)
     return ExactScalar.settle(acc)
+
+
+# ---------------------------------------------------------------------------
+# generator tables per character
+# ---------------------------------------------------------------------------
+
+class _Scratch:
+    """The arithmetic of a rational character: a coefficient is in integer
+    scratch form ({radical key: (numerator, denominator)}, ``exact._mul_acc``),
+    and a sum keeps one unreduced cell per output index."""
+
+    one = _ONE.scratch()
+    mul_acc = staticmethod(_mul_acc)
+
+    @staticmethod
+    def lift(c) -> dict:
+        return ExactScalar.of(c).scratch()
+
+    @staticmethod
+    def lift_cell(cell: dict) -> dict:
+        return cell
+
+    @staticmethod
+    def product(a: dict, b: dict) -> dict:
+        acc = {}
+        _mul_acc(acc, 0, a, b)
+        return acc[0] if acc else {}
+
+    @staticmethod
+    def dl_coef(factor: ExactScalar, affine) -> dict:
+        """-factor * affine, for a Fraction (or int) affine factor."""
+        if not affine:
+            return {}
+        an, ad = affine.numerator, affine.denominator
+        return {k: (-q.numerator * an, q.denominator * ad) for k, q in factor.terms.items()}
+
+    @staticmethod
+    def freeze(cell: dict) -> dict:
+        """A row coefficient: the cell in lowest terms."""
+        out = {}
+        for k, (n, d) in cell.items():
+            g = math.gcd(n, d)
+            out[k] = (n // g, d // g)
+        return out
+
+    settle = staticmethod(ExactScalar.from_scratch)
+
+
+class _Float:
+    """The arithmetic of a complex character: a coefficient is a complex
+    number, and each product is added in place, term by term, so a result
+    has the same bits on every run."""
+
+    one = _ONE.to_complex()
+
+    @staticmethod
+    def lift(c) -> complex:
+        return c.to_complex() if c.__class__ is ExactScalar else c
+
+    @staticmethod
+    def lift_cell(cell: dict) -> complex:
+        return ExactScalar.from_scratch(cell).to_complex()
+
+    @staticmethod
+    def product(a: complex, b: complex) -> complex:
+        return a * b
+
+    @staticmethod
+    def mul_acc(acc: dict, index, a: complex, b: complex) -> None:
+        _merge(acc, index, a * b)
+
+    @staticmethod
+    def dl_coef(factor: ExactScalar, affine: complex) -> complex:
+        return -factor.to_complex() * affine
+
+    @staticmethod
+    def freeze(c: complex) -> complex:
+        return c
+
+    settle = freeze
+
+
+_LABELS = tuple(("u",) + w for w in NONCOMPACT.values()) + tuple(("U", i) for i in range(4))
+
+
+class _Table:
+    """The ten catalog generators acting on the basis at one character.
+
+    Each basis vector gets an integer id on first sight (``id``), and
+    ``rows[label][id]`` is dl of the label on that vector as a tuple of
+    (target id, coefficient) in the character's arithmetic (``arith``), or
+    None until it is first read (``row``).  Ids are assigned and rows filled
+    under one lock, so threads may share a table; a result does not depend
+    on the ids, only on the order of the terms.
+    """
+
+    def __init__(self, chi: Character):
+        self.chi = chi
+        self.arith = _Scratch if chi.exact else _Float
+        self.ids = {}
+        self.vecs = []
+        self.rows = {lab: [] for lab in _LABELS}
+        self.lock = threading.RLock()
+
+    def id(self, v: WignerIndex) -> int:
+        return self.key_id((v.j.twice, v.n.twice, v.m1.twice, v.m2.twice))
+
+    def key_id(self, key: tuple) -> int:
+        """The id of the basis vector with twice-values key = (j, n, m1, m2)."""
+        i = self.ids.get(key)
+        if i is None:
+            with self.lock:
+                i = self.ids.get(key)
+                if i is None:
+                    i = len(self.vecs)
+                    self.vecs.append(WignerIndex(*map(HalfInt, key)))
+                    for rows in self.rows.values():
+                        rows.append(None)
+                    self.ids[key] = i    # published last: its rows exist
+        return i
+
+    def row(self, lab: tuple, i: int) -> tuple:
+        rows = self.rows[lab]
+        row = rows[i]
+        if row is None:
+            with self.lock:
+                row = rows[i]
+                if row is None:
+                    row = rows[i] = _dl_row(self, lab, self.vecs[i])
+        return row
+
+    def settle(self, items) -> dict:
+        """{basis vector: ExactScalar or complex} from (id, coefficient)
+        pairs: each coefficient settled once."""
+        vecs, settle = self.vecs, self.arith.settle
+        return {vecs[i]: settle(c) for i, c in items}
+
+
+# A table lives while it is among the last _TABLES_KEPT characters used.
+_TABLES_KEPT = 8
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _table(chi: Character) -> _Table:
+    return _Table(chi)
+
+
+def _dl_row(table: _Table, lab: tuple, v: WignerIndex) -> tuple:
+    """dl of one catalog label on v, as a row of the table: the one place
+    where dl of a label is computed.  A u-row is the Clebsch-Gordan
+    expansion of dl(u_beta) = dr(-Ad(k^{-1}) u_beta), summed in the table's
+    arithmetic; a U-row is ``_dl_k_cached`` lifted."""
+    ar = table.arith
+    if lab[0] == "U":
+        return tuple((table.id(k), ar.lift(c)) for k, c in _dl_k_cached(lab, v).items())
+    j, m1, m2 = v.j, v.m1, v.m2
+    _, m_beta, n_beta = lab
+    # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
+    tj, tn, tm1 = j.twice, v.n.twice + 2 * n_beta, m1.twice + 2 * m_beta
+    out = {}
+    for m_nu, factor, affine, shift in _dr_terms(lab, j, v.n, m2, table.chi.lam):
+        tm2p = m2.twice + 2 * shift
+        coef = ar.dl_coef(factor, affine)
+        if not coef or abs(tm2p) > tj:
+            continue
+        tm2 = tm2p + 2 * m_nu
+        for j0 in (-1, 0, 1):
+            tjt = tj + 2 * j0
+            if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1) > tjt or abs(tm2) > tjt:
+                continue
+            cg = _Scratch.product(_cg(tj, m1.twice, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
+            if cg:
+                ar.mul_acc(out, table.key_id((tjt, tn, tm1, tm2)), ar.lift_cell(cg), coef)
+    return tuple((i, ar.freeze(c)) for i, c in out.items())
+
+
+def _accumulate(table: _Table, acc: dict, elem, lc) -> None:
+    """acc += dl(elem) lc over ids: the one summation kernel.  ``elem`` is
+    ((catalog label, coefficient), ...) and ``lc`` ((id, coefficient), ...),
+    both in the table's arithmetic.  Terms are added for each vector of lc,
+    each label of elem and each entry of the label's row, in that order; an
+    index whose terms all cancel leaves acc and goes last if it comes back."""
+    ar = table.arith
+    mul_acc, product = ar.mul_acc, ar.product
+    elem = [(table.rows[lab], lab, ce) for lab, ce in elem]
+    for i, cv in lc:
+        for rows, lab, ce in elem:
+            c = product(ce, cv)
+            row = rows[i]
+            if row is None:
+                row = table.row(lab, i)
+            for k, val in row:
+                mul_acc(acc, k, c, val)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +522,9 @@ def gmat_to_element(x: GMat) -> dict:
         raise DecompositionError(str(exc)) from exc
     acc = {}
     for name, c in coords.items():
-        c = cyc8_to_rsum(c)
+        c = cyc8_to_rsum(c).scratch()
         for lab, ce in _CHEVALLEY_TO_CATALOG[name].items():
-            ExactScalar.mul_acc(acc, lab, c, ce)
+            _mul_acc(acc, lab, c, ce.scratch())
     return ExactScalar.settle(acc)
 
 
@@ -366,32 +538,14 @@ def _as_element(x) -> dict:
     raise DecompositionError("cannot interpret %r as an algebra element" % (x,))
 
 
-def _dl_label(lab, v: WignerIndex, chi: Character) -> dict:
-    """dl of one catalog label on a basis vector, in chi's arithmetic.  The
-    result is a cached dict: read it, do not change it."""
-    if lab[0] == "u":
-        return _dl_p_cached(lab, v, chi)
-    return _dl_k_cached(lab, v, chi.exact)
-
-
-def _dl_element_acc(acc: dict, elem: dict, lc: dict, chi: Character, mul_acc) -> None:
-    """acc += dl(elem) lc, each product added by ``mul_acc`` of chi's
-    arithmetic (``_summation``); elem's coefficients are in that arithmetic
-    already (``exact.lift``)."""
-    for v, cv in lc.items():
-        for lab, ce in elem.items():
-            c = ce * cv
-            for k, val in _dl_label(lab, v, chi).items():
-                mul_acc(acc, k, c, val)
-
-
 def dl_element(elem, lc: dict, chi: Character) -> dict:
     """Apply dl of one algebra element to a linear combination."""
-    mul_acc, settle = _summation(chi)
+    table = _table(chi)
+    lift = table.arith.lift
+    elem = [(lab, lift(ce)) for lab, ce in _as_element(elem).items()]
     acc = {}
-    elem = {lab: lift(ce, chi.lam[0]) for lab, ce in _as_element(elem).items()}
-    _dl_element_acc(acc, elem, lc, chi, mul_acc)
-    return settle(acc)
+    _accumulate(table, acc, elem, [(table.id(v), lift(cv)) for v, cv in lc.items()])
+    return table.settle(acc.items())
 
 
 def dl_word(word, v: WignerIndex, chi: Character) -> dict:
@@ -405,16 +559,13 @@ def dl_word(word, v: WignerIndex, chi: Character) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _omega2_form(exact: bool) -> tuple:
+def _omega2_form(arith) -> tuple:
     """The Casimir collected in the catalog basis, as (inner, outer) pairs:
     omega2 = sum of outer * inner, where inner is the catalog label applied
-    first (None for the linear part) and outer a {catalog label: ExactScalar}
-    element.  Every word is expanded with its letter order kept and equal
-    monomials are summed exactly; no relation of g is used.  With exact
-    False the outer coefficients are lifted to complex, once per process."""
-    if not exact:
-        return tuple((lab, {k: lift(c, 0j) for k, c in outer.items()})
-                     for lab, outer in _omega2_form(True))
+    first (None for the linear part) and outer ((catalog label,
+    coefficient), ...) an element in ``arith``'s arithmetic.  Every word is
+    expanded with its letter order kept and equal monomials are summed
+    exactly; no relation of g is used.  Built once per arithmetic."""
     mul_acc = ExactScalar.mul_acc
     form, linear = {}, {}
     for coef, word in omega2_words():      # words of one or two letters
@@ -429,21 +580,21 @@ def _omega2_form(exact: bool) -> tuple:
             acc, c = form.setdefault(lab, {}), coef * c
             for olab, oc in outer.items():
                 mul_acc(acc, olab, c, oc)
-    settle = ExactScalar.settle
-    return tuple((lab, settle(acc)) for lab, acc in form.items()) + ((None, settle(linear)),)
+    return tuple((lab, tuple((olab, arith.lift(ExactScalar.from_scratch(c))) for olab, c in acc.items()))
+                 for lab, acc in list(form.items()) + [(None, linear)])
 
 
 def omega2_action(v: WignerIndex, chi: Character) -> dict:
     """dl of the degree-2 Casimir (acts by hc_omega2(lambda) on I(chi)),
     from its collected form: dl(outer) dl(inner) v summed over the form in
     one accumulator."""
-    mul_acc, settle = _summation(chi)
-    one = lift(_ONE, chi.lam[0])
+    table = _table(chi)
+    i = table.id(v)
     acc = {}
-    for inner, outer in _omega2_form(chi.exact):
-        lc = {v: one} if inner is None else _dl_label(inner, v, chi)
-        _dl_element_acc(acc, outer, lc, chi, mul_acc)
-    return settle(acc)
+    for inner, outer in _omega2_form(table.arith):
+        lc = ((i, table.arith.one),) if inner is None else table.row(inner, i)
+        _accumulate(table, acc, outer, lc)
+    return table.settle(acc.items())
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +627,20 @@ def bracket_check(x: GMat, y: GMat, vectors, chi: Character) -> bool:
     """dl is a Lie algebra homomorphism on the pair: dl(x) dl(y) v -
     dl(y) dl(x) v = dl([x,y]) v exactly for each basis vector v (rational
     lambda)."""
-    ex, ey, eb = (gmat_to_element(g) for g in (x, y, sp4.bracket(x, y)))
-    minus = ExactScalar(-1)
-    mul_acc = _summation(chi)[0]
+    table = _table(chi)
+    lift = table.arith.lift
+    ex, ey, eb = ([(lab, lift(c)) for lab, c in gmat_to_element(g).items()]
+                  for g in (x, y, sp4.bracket(x, y)))
+    one, minus = lift(_ONE), lift(ExactScalar(-1))
     for v in vectors:
+        i = table.id(v)
         # dl(x) dl(y) v + dl(y) dl(x) (-v) + dl([x,y]) (-v), in one sum
-        acc = {}
-        _dl_element_acc(acc, ex, dl_element(ey, {v: _ONE}, chi), chi, mul_acc)
-        _dl_element_acc(acc, ey, dl_element(ex, {v: minus}, chi), chi, mul_acc)
-        _dl_element_acc(acc, eb, {v: minus}, chi, mul_acc)
+        yv, xv, acc = {}, {}, {}
+        _accumulate(table, yv, ey, ((i, one),))
+        _accumulate(table, acc, ex, yv.items())
+        _accumulate(table, xv, ex, ((i, minus),))
+        _accumulate(table, acc, ey, xv.items())
+        _accumulate(table, acc, eb, ((i, minus),))
         if acc:
             return False
     return True

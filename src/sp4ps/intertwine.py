@@ -23,10 +23,9 @@ routes compute a block as a whole: a factor that depends on one index only
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
 half-integer arguments and complex at complex ones, with one pole rule on
-both paths: a Gamma of the denominator at its pole makes the ratio 0, and
-an excess of numerator poles is a PoleError (on the float path a
-non-finite value, which simple_operator and s_entry_3f2 reject through
-require_finite).
+both paths: a Gamma of the denominator at its pole makes the ratio 0, an
+excess of numerator poles is a PoleError, and equal orders give the
+limit.
 
 Removable singularities (a prefactor pole cancelling a vanishing
 hypergeometric sum, and the spurious per-term poles of the long-operator
@@ -128,35 +127,53 @@ def _gamma_ratio(num, den, pole_msg: str):
     """prod Gamma(a) over num / prod Gamma(a) over den, each argument an
     (a, slope) pair with slope the rate of a in the underlying variable.
 
-    At exact half-integer arguments a pole Gamma(x) ~ (-1)^p/(p! slope
-    (z-z0)) is counted with its slope: a numerator excess raises
-    PoleError(pole_msg), a denominator excess gives 0, and equal orders give
-    the directional limit.  At float or complex arguments it is scipy's
-    gamma times rgamma (1/Gamma is entire), so a denominator pole is 0 there
-    too; a numerator pole is not finite there.
+    One pole rule at exact half-integer and at float or complex arguments:
+    a pole Gamma(x) ~ (-1)^p/(p! slope (z-z0)) at x = -p is counted with its
+    slope; a numerator excess raises PoleError(pole_msg), a denominator
+    excess gives 0, and equal orders give the directional limit.  The other
+    Gammas are ``gamma_half`` at exact arguments and scipy's gamma and
+    rgamma at float ones.
     """
-    if any(isinstance(a, (float, complex)) for a, _ in num + den):
-        from scipy.special import gamma, rgamma
-        # Python complex products: an infinite Gamma times 0 is NaN, no warning
-        out, *rest = ([complex(gamma(complex(a))) for a, _ in num]
-                      + [complex(rgamma(complex(a))) for a, _ in den])
-        for x in rest:
-            out = out * x
-        return out
-    val, order = ExactScalar(1), 0
-    for args, sign in ((num, 1), (den, -1)):
+    floaty = any(isinstance(a, (float, complex)) for a, _ in num + den)
+    poles, order, regular = ExactScalar(1), 0, ([], [])
+    for args, sign, rest in ((num, 1, regular[0]), (den, -1, regular[1])):
         for a, slope in args:
-            a = HalfInt.of(a)
-            if a.is_integer() and a.as_int() <= 0:
-                p = -a.as_int()
-                order += sign
-                g = ExactScalar(Fraction((-1) ** p) / (math.factorial(p) * Fraction(slope)))
-            else:
-                g = gamma_half(a)
-            val = val * g if sign > 0 else val / g
+            a = complex(a) if floaty else HalfInt.of(a)
+            p = _pole_index(a)
+            if p is None:
+                rest.append(a)
+                continue
+            order += sign
+            g = ExactScalar(Fraction((-1) ** p) / (math.factorial(p) * Fraction(slope)))
+            poles = poles * g if sign > 0 else poles / g
     if order > 0:
         raise PoleError(pole_msg)
-    return ExactScalar(0) if order < 0 else val
+    if order < 0:
+        return 0j if floaty else ExactScalar(0)
+    if not floaty:
+        val = poles
+        for a in regular[0]:
+            val = val * gamma_half(a)
+        for a in regular[1]:
+            val = val / gamma_half(a)
+        return val
+    from scipy.special import gamma, rgamma
+    vals = [complex(gamma(a)) for a in regular[0]] + [complex(rgamma(a)) for a in regular[1]]
+    if poles != 1:             # equal pole orders: the limit's factor
+        vals.append(poles.to_complex())
+    out, *rest = vals
+    for x in rest:
+        out = out * x
+    return out
+
+
+def _pole_index(a):
+    """p where a = -p is a pole of Gamma (p = 0, 1, 2, ...), else None."""
+    if isinstance(a, complex):
+        if a.imag == 0 and a.real <= 0 and a.real.is_integer():
+            return -int(a.real)
+        return None
+    return -a.as_int() if a.is_integer() and a.as_int() <= 0 else None
 
 
 def q_factor(z, nu):

@@ -1,8 +1,12 @@
 import functools
+import gc
 import hashlib
 import json
 import math
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -258,19 +262,28 @@ def test_omega2_form_matches_words_in_free_algebra(monkeypatch):
     # collected form must still equal the sum of the Casimir's words letter
     # by letter: only the expansion of the words is tested, no relation of g
     p_map, k_map = _random_action("p"), _random_action("k")
-    # dl of a catalog label reads the two action caches, so they are what
-    # is replaced
-    monkeypatch.setattr(gkmod, "_dl_p_cached", lambda lab, v, chi: p_map(lab, v))
-    monkeypatch.setattr(gkmod, "_dl_k_cached", lambda lab, v, exact: k_map(lab, v))
-    vecs = _vectors((0, 0), 2, 2)
-    assert len(vecs) == 89
-    for v in vecs:
-        want = {}
-        for coef, word in omega2_words():
-            want = lc_add(want, lc_scale(dl_word(word, v, CHI), ExactScalar.of(coef)))
-        got = omega2_action(v, CHI)
-        assert got == want, v
-        assert set(got) - {v}, v
+
+    # dl of a catalog label is computed in one place, the row builder of the
+    # character's table, so that is what is replaced; the tables are cleared
+    # so that no row built before (or here) is read by another test
+    def fake_row(table, lab, v):
+        action = p_map if lab[0] == "u" else k_map
+        return tuple((table.id(w), table.arith.lift(c)) for w, c in action(lab, v).items())
+
+    monkeypatch.setattr(gkmod, "_dl_row", fake_row)
+    gkmod._table.cache_clear()
+    try:
+        vecs = _vectors((0, 0), 2, 2)
+        assert len(vecs) == 89
+        for v in vecs:
+            want = {}
+            for coef, word in omega2_words():
+                want = lc_add(want, lc_scale(dl_word(word, v, CHI), ExactScalar.of(coef)))
+            got = omega2_action(v, CHI)
+            assert got == want, v
+            assert set(got) - {v}, v
+    finally:
+        gkmod._table.cache_clear()
 
 
 @pytest.mark.parametrize("delta, lam", [((0, 0), (F(5, 2), F(1, 3))),
@@ -298,12 +311,19 @@ _ORACLE_CHARS = [Character((0, 0), (F(7, 3), F(4, 5))),
 _CHEVALLEY_LABELS = ("H1", "H2") + ALL_ROOTS
 
 
+def _ref_dl_label(lab, v, chi):
+    """dl of a catalog label from the public actions, in chi's arithmetic."""
+    if lab[0] == "u":
+        return dl_p_action(lab, v, chi)
+    return {k: lift(c, chi.lam[0]) for k, c in dl_k_action("U%d" % lab[1], v).items()}
+
+
 def _ref_dl_element(elem, lc, chi):
     like = chi.lam[0]
     out = {}
     for v, cv in lc.items():
         for lab, ce in elem.items():
-            out = lc_add(out, lc_scale(gkmod._dl_label(lab, v, chi), lift(ce, like) * cv))
+            out = lc_add(out, lc_scale(_ref_dl_label(lab, v, chi), lift(ce, like) * cv))
     return out
 
 
@@ -371,8 +391,8 @@ def test_exact_kernel_matches_reference(chi, xc, yc, pick):
 
 @pytest.mark.parametrize("chi", [CHI, Character((0, 0), (2.5 + 0j, 1.5 + 0j))], ids=["exact", "complex"])
 def test_mul_acc_cancel_and_reappear_keeps_order(chi):
-    # the (mul_acc, settle) pair the kernel sums with at chi
-    mul_acc, settle = gkmod._summation(chi)
+    # the arithmetic the kernel sums with at chi
+    arith = gkmod._table(chi).arith
     one, two = ExactScalar(1), ExactScalar(2)
     r2 = ExactScalar(F(1, 3), 2, 0, True)                 # i sqrt2 / 3
     mixed = ExactScalar(-1) + ExactScalar(F(1, 2), 3)     # -1 + sqrt3 / 2
@@ -384,11 +404,11 @@ def test_mul_acc_cancel_and_reappear_keeps_order(chi):
              ("b", -two, r2)]         # b cancels for good
     acc, ref = {}, {}
     for idx, x, y in steps:
+        arith.mul_acc(acc, idx, arith.lift(x), arith.lift(y))
         x, y = lift(x, chi.lam[0]), lift(y, chi.lam[0])
-        mul_acc(acc, idx, x, y)
         ref = lc_add(ref, {idx: x * y})
         assert list(acc) == list(ref)
-    got = settle(acc)
+    got = {idx: arith.settle(c) for idx, c in acc.items()}
     assert list(got.items()) == list(ref.items()) and list(got) == ["c", "d", "a"]
 
 
@@ -428,6 +448,51 @@ def test_returned_actions_are_copies():
         first.clear()
         first[v] = ExactScalar(99)
         assert list(call().items()) == want
+
+
+@pytest.mark.parametrize("chi", [Character((0, 0), (F(7, 3), F(4, 5))),
+                                 Character((0, 0), (complex(2.3, 0.7), complex(0.4, -0.2)))],
+                         ids=["exact", "complex"])
+def test_tables_are_safe_under_threads(chi):
+    # four threads start together on a cold table, each on the whole window
+    # from another starting vector, with the interpreter switching threads
+    # often: ids and rows are assigned under the table's lock, so every
+    # thread gets the serial result, item for item
+    vecs = _vectors((0, 0), 2, 1)
+    gkmod._table.cache_clear()
+    serial = [list(omega2_action(v, chi).items()) for v in vecs]
+    gkmod._table.cache_clear()
+
+    def run(k):
+        order = vecs[k * len(vecs) // 4:] + vecs[:k * len(vecs) // 4]
+        out = {v: list(omega2_action(v, chi).items()) for v in order}
+        return [out[v] for v in vecs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(run, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+        gkmod._table.cache_clear()
+    for got in results:
+        assert got == serial
+
+
+def test_tables_are_kept_for_the_last_characters_only():
+    # the tables are an LRU of fixed size keyed by the character: using more
+    # characters than it keeps leaves only the last ones alive
+    gkmod._table.cache_clear()
+    v = WignerIndex.of(1, 1, 0, 1)
+    refs = []
+    for k in range(gkmod._TABLES_KEPT + 3):
+        chi = Character((0, 0), (F(2 * k + 5, 2), F(1, 3)))
+        assert omega2_action(v, chi)
+        refs.append(weakref.ref(gkmod._table(chi)))
+    gc.collect()
+    alive = [r() is not None for r in refs]
+    assert alive == [False] * 3 + [True] * gkmod._TABLES_KEPT
 
 
 def test_bracket_check_decomposes_each_matrix_once(monkeypatch):
@@ -520,11 +585,12 @@ def test_dl_p_float_path_matches_exact():
     chi_e = Character((0, 0), (F(5, 2), F(3, 2)))
     chi_f = Character((0, 0), (2.5 + 0j, 1.5 + 0j))
     # equal values, so only the character's exact field keeps the two apart
-    # in the action cache, whichever is computed first
+    # in the action cache and the tables, whichever is computed first
     assert chi_e != chi_f
     v = WignerIndex.of(2, 1, 1, 1)
     for first, second in ((chi_e, chi_f), (chi_f, chi_e)):
         gkmod._dl_p_cached.cache_clear()
+        gkmod._table.cache_clear()
         out = {chi.exact: dl_p_action("b2", v, chi) for chi in (first, second)}
         exact, floaty = out[True], out[False]
         assert all(type(c) is ExactScalar for c in exact.values())

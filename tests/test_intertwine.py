@@ -41,6 +41,15 @@ def test_q_factor_values():
     assert abs(v - math.pi * 2 ** (2 - 4.5) * math.gamma(3.5) / (math.gamma(3.25) * math.gamma(1.25))) < 1e-12
 
 
+def test_float_path_raises_at_a_numerator_pole():
+    # Q(1/2, 0) has an uncancelled Gamma(2z-1) pole: the float path raises
+    # the exact path's error rather than returning NaN
+    for call in (lambda z: q_factor(z, 0), lambda z: s_entry_sum(0, 0, 0, 0, z)):
+        for z in (F(1, 2), 0.5 + 0j):
+            with pytest.raises(PoleError, match=r"uncancelled Gamma\(2z-1\) pole"):
+                call(z)
+
+
 def test_q_ratio():
     assert q_ratio(F(7, 3), HalfInt.of(0)) == ExactScalar(1)
     assert q_ratio(F(7, 3), HalfInt.of(2)) == q_ratio(F(7, 3), HalfInt.of(-2))
@@ -203,6 +212,8 @@ FLOAT_PATH_CASES = {
                           lambda: s_entry_sum(1, 0, 1, -1, complex(7 / 2))),
     # integer z: a Gamma of Q's denominator at its pole is 0 on both paths
     "q_factor-denominator-pole": (lambda: q_factor(F(1), 1), lambda: q_factor(complex(1), 1)),
+    # equal pole orders: the directional limit on both paths
+    "q_factor-equal-order-poles": (lambda: q_factor(F(0), 1), lambda: q_factor(0j, 1)),
     "s_entry_sum-integer-1": (lambda: s_entry_sum(1, 0, 1, 1, F(1)), lambda: s_entry_sum(1, 0, 1, 1, complex(1))),
     "s_entry_sum-integer-2": (lambda: s_entry_sum(2, 0, 2, 0, F(2)), lambda: s_entry_sum(2, 0, 2, 0, complex(2))),
     "t_norm-integer": (lambda: t_norm(2, 0, F(7, 3)), lambda: t_norm(2, 0, complex(7 / 3))),
