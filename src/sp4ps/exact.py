@@ -522,15 +522,13 @@ def gamma_half(a) -> ExactScalar:
         if k <= 0:
             raise PoleError("Gamma pole at %s" % a)
         return ExactScalar(math.factorial(k - 1))
-    # half-odd: walk to Gamma(1/2) = sqrt(pi)
-    q = Fraction(1)
-    t = a.frac
-    while t > Fraction(1, 2):
-        t -= 1
-        q *= t
-    while t < Fraction(1, 2):
-        q /= t
-        t += 1
+    # half-odd a = k + 1/2: Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi), and
+    # Gamma(1/2-k) = (-4)^k k!/(2k)! sqrt(pi)
+    k = (a.twice - 1) // 2
+    if k >= 0:
+        q = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
+    else:
+        q = Fraction((-4) ** -k * math.factorial(-k), math.factorial(-2 * k))
     return ExactScalar(q, 1, 1)
 
 

@@ -18,7 +18,10 @@ closed form checked against the product over a stated range (see
 genfun_vs_product), not derived, so the genfun route runs without the
 product and genfun_check compares the two entry by entry.  Both
 routes compute a block as a whole: a factor that depends on one index only
-(a row, a column, an m4 or a p) is built once per block.
+(a row, a column, an m4 or a p) is built once per block.  The lambda-free
+S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
+and exact S entries and block products are summed in the integer scratch
+form of ``exact._mul_acc``, each entry settled once.
 
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
+from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput, _mul_acc,
                     gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite)
 from .gkmod import m_set
 from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
@@ -93,19 +96,35 @@ class BlockMatrix:
         return self.entries[self.row_index.index(HalfInt.of(mr))][self.col_index.index(HalfInt.of(mc))]
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
+        """The block product.  Exact entries are summed in integer scratch
+        form (``exact._mul_acc``) and settled once; complex ones add their
+        terms in column order."""
         if self.col_index != other.row_index:
             raise ValueError("index mismatch in block product")
+        ks = range(len(other.col_index))
         rows = []
-        for row in self.entries:
-            out = []
-            for k in range(len(other.col_index)):
-                acc = _zero_like(row[0])
-                for a, brow in zip(row, other.entries):
-                    b = brow[k]
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
-            rows.append(out)
+        if self.entries and self.entries[0] and self.entries[0][0].__class__ is ExactScalar:
+            bs = [[b.scratch() for b in brow] for brow in other.entries]
+            for row in self.entries:
+                acc: dict = {}
+                for a, brow in zip(row, bs):
+                    if a:
+                        a = a.scratch()
+                        for k, b in zip(ks, brow):
+                            if b:
+                                _mul_acc(acc, k, a, b)
+                rows.append([ExactScalar.from_scratch(acc.get(k, {})) for k in ks])
+        else:
+            for row in self.entries:
+                out = []
+                for k in ks:
+                    acc = _zero_like(row[0])
+                    for a, brow in zip(row, other.entries):
+                        b = brow[k]
+                        if a and b:
+                            acc = acc + a * b
+                    out.append(acc)
+                rows.append(out)
         return BlockMatrix(self.ktype, list(self.row_index), list(other.col_index), rows)
 
     def is_identity(self) -> bool:
@@ -233,7 +252,12 @@ _M_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(3, 2), Fraction(1,
 _N_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 2))
 
 
-@lru_cache(maxsize=None)
+# The spin tables (mn_matrices, _s_terms) are kept for the last
+# _SPINS_KEPT spins used; verify --deep reads 13.
+_SPINS_KEPT = 32
+
+
+@lru_cache(maxsize=_SPINS_KEPT)
 def mn_matrices(j) -> tuple[BlockMatrix, BlockMatrix]:
     """M and N: Wigner D-values of exp(-+(3 pi/2) U1); N is the exact
     inverse of M."""
@@ -245,6 +269,29 @@ def mn_matrices(j) -> tuple[BlockMatrix, BlockMatrix]:
         n_rows.append([wigner_D(WignerIndex.of(j, 0, a, b), _N_ANGLES) for b in ms])
     return (BlockMatrix((j, None), ms, ms, m_rows),
             BlockMatrix((j, None), ms, ms, n_rows))
+
+
+@lru_cache(maxsize=_SPINS_KEPT)
+def _s_terms(j: HalfInt) -> list:
+    """The lambda-free terms of _s_block at spin j, built once per spin:
+    ``terms[a][k]`` is, for the a-th m3 and the k-th m2 of -j..j, the tuple
+    of (m4, scratch form, complex value) of each nonzero
+    i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order."""
+    M, N = mn_matrices(j)
+    m4s = M.col_index
+    terms = []
+    for mrow in M.entries:
+        row = []
+        for k in range(len(m4s)):
+            cell = []
+            for i, m4 in enumerate(m4s):
+                c = mrow[i] * N.entries[i][k]
+                if c:
+                    p = ExactScalar.i_power(-m4.twice) * c
+                    cell.append((m4, p.scratch(), p.to_complex()))
+            row.append(tuple(cell))
+        terms.append(row)
+    return terms
 
 
 def _two_pow(m: HalfInt) -> ExactScalar:
@@ -274,26 +321,42 @@ def m_entry_genfun(j, m3, m4) -> ExactScalar:
 
 def _s_block(j, rows, cols, z, factor) -> list:
     """[sum_{m4} i^{-2 m4} M_{m3,m4} N_{m4,m2} factor(z, m4)] for m3 in rows
-    and m2 in cols.  factor(z, m4) is evaluated once, for the m4 that a
-    nonzero M N term first needs, so it raises only where one entry would."""
+    and m2 in cols.  The lambda-free products i^{-2 m4} M N come from
+    _s_terms, built once per spin.  factor(z, m4) is evaluated once, for the
+    m4 that a nonzero M N term first needs, so it raises only where one
+    entry would.  An exact entry is summed in integer scratch form
+    (``exact._mul_acc``) and settled once; a complex one adds its terms in
+    m4 order."""
     j = HalfInt.of(j)
-    M, N = mn_matrices(j)
-    m4s = half_range(-j, j)
-    ks = [N.col_index.index(HalfInt.of(m2)) for m2 in cols]
+    ms = half_range(-j, j)
+    terms = _s_terms(j)
+    ks = [ms.index(HalfInt.of(m2)) for m2 in cols]
+    floaty = isinstance(z, (float, complex))
     fac: dict = {}
+
+    def factor_at(m4):
+        f = fac.get(m4)
+        if f is None:
+            f = factor(z, m4)
+            f = fac[m4] = f if floaty else f.scratch()
+        return f
+
     out = []
     for m3 in rows:
-        mrow = M.entries[M.row_index.index(HalfInt.of(m3))]
-        row = []
-        for k in ks:
-            total = _zero_like(z)
-            for i, m4 in enumerate(m4s):
-                c = mrow[i] * N.entries[i][k]
-                if c:
-                    if m4 not in fac:
-                        fac[m4] = factor(z, m4)
-                    total = total + lift(ExactScalar.i_power(-m4.twice) * c, z) * fac[m4]
-            row.append(total)
+        trow = terms[ms.index(HalfInt.of(m3))]
+        if floaty:
+            row = []
+            for k in ks:
+                total = 0j
+                for m4, _p, pc in trow[k]:
+                    total = total + pc * factor_at(m4)
+                row.append(total)
+        else:
+            acc: dict = {}
+            for col, k in enumerate(ks):
+                for m4, p, _pc in trow[k]:
+                    _mul_acc(acc, col, p, factor_at(m4))
+            row = [ExactScalar.from_scratch(acc.get(col, {})) for col in range(len(ks))]
         out.append(row)
     return out
 

@@ -2,8 +2,9 @@
 
 A removable singularity in the spectral parameter is evaluated by
 perturbing the parameter with a formal epsilon: ``LSeries1`` is a truncated
-Laurent series in epsilon with Fraction coefficients.  It carries an
-explicit known window: coefficients are stored for exponents
+Laurent series in epsilon with rational coefficients, stored as integer
+numerators over one positive common denominator in lowest terms.  It
+carries an explicit known window: coefficients are stored for exponents
 ``min_exp .. min_exp+len-1`` and everything above ``trunc`` is unknown (not
 zero).  Reading past the window raises ``TruncationError``; reading below
 ``min_exp`` returns a known zero.
@@ -28,17 +29,47 @@ class TruncationError(ArithmeticError):
     """A coefficient beyond the known window was requested."""
 
 
-class LSeries1:
-    """Laurent polynomial window in epsilon with Fraction coefficients."""
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or a Fraction."""
+    if x.__class__ is int:
+        return x, 1
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("min_exp", "coeffs", "trunc")
+
+class LSeries1:
+    """Laurent polynomial window in epsilon with rational coefficients.
+
+    ``nums[i] / den`` is the coefficient of eps^(min_exp+i): integer
+    numerators over one positive denominator, reduced by one gcd per
+    operation, so the ring operations run on ints.  The constructor takes
+    Fractions (or ints) and ``coeff`` returns a Fraction.
+    """
+
+    __slots__ = ("min_exp", "nums", "den", "trunc")
 
     def __init__(self, min_exp: int, coeffs: list, trunc: int):
         if trunc < min_exp + len(coeffs) - 1:
             raise ValueError("trunc below stored window")
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.min_exp = min_exp
-        self.coeffs = list(coeffs)
+        self.nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.den = den
         self.trunc = trunc
+
+    @staticmethod
+    def _of(min_exp: int, nums: list, den: int, trunc: int) -> "LSeries1":
+        """The jet nums/den (den nonzero, of any sign), in lowest terms."""
+        if den < 0:
+            nums, den = [-a for a in nums], -den
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [a // g for a in nums], den // g
+        out = object.__new__(LSeries1)
+        out.min_exp, out.nums, out.den, out.trunc = min_exp, nums, den, trunc
+        return out
 
     # -- access ----------------------------------------------------------
 
@@ -47,70 +78,93 @@ class LSeries1:
             raise TruncationError(
                 "coefficient of eps^%d beyond window (trunc=%d)" % (e, self.trunc))
         i = e - self.min_exp
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def order(self) -> int:
         """Exponent of the lowest nonzero known coefficient."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, a in enumerate(self.nums):
+            if a:
                 return self.min_exp + i
         raise ValueError("series is zero on its known window")
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- ring ops ----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, LSeries1):
-            other = LSeries1(0, [Fraction(other)], self.trunc)
+        if other.__class__ is not LSeries1:
+            if self.trunc < 0:
+                return self          # eps^0 lies beyond the known window
+            n, d = _ratio(other)
+            other = LSeries1._of(0, [n], d, self.trunc)
         trunc = min(self.trunc, other.trunc)
         lo = min(self.min_exp, other.min_exp)
-        hi = min(max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs)) - 1, trunc)
-        pairs = ((self.coeff(e), other.coeff(e)) for e in range(lo, hi + 1))
-        return LSeries1(lo, [a + b if a and b else a or b for a, b in pairs], trunc)
+        hi = min(max(self.min_exp + len(self.nums), other.min_exp + len(other.nums)) - 1, trunc)
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        den = d1 // g * d2
+        out = [0] * max(hi - lo + 1, 0)
+        for s, f in ((self, d2 // g), (other, d1 // g)):
+            for i, a in enumerate(s.nums[:max(hi + 1 - s.min_exp, 0)], s.min_exp - lo):
+                out[i] += a * f
+        return LSeries1._of(lo, out, den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LSeries1(self.min_exp, [-c for c in self.coeffs], self.trunc)
+        return LSeries1._of(self.min_exp, [-a for a in self.nums], self.den, self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, LSeries1):
+        if other.__class__ is not LSeries1:
             # scalar multiplication keeps the window
-            return LSeries1(self.min_exp, [c * other for c in self.coeffs], self.trunc)
+            n, d = _ratio(other)
+            return LSeries1._of(self.min_exp, [a * n for a in self.nums], self.den * d, self.trunc)
         trunc = min(self.trunc + other.min_exp, other.trunc + self.min_exp)
         lo = self.min_exp + other.min_exp
-        n = trunc - lo + 1
-        out = [Fraction(0)] * max(n, 1)
-        for i, a in enumerate(self.coeffs[:n]):
+        n = trunc - lo + 1           # >= 0: each stored window ends at or below its trunc
+        out = [0] * n
+        bs = other.nums
+        for i, a in enumerate(self.nums[:n]):
             if a:
-                for k, b in enumerate(other.coeffs[:n - i], i):
-                    if b:
-                        out[k] = out[k] + a * b if out[k] else a * b
-        return LSeries1(lo, out, trunc)
+                for k, b in enumerate(bs[:n - i], i):
+                    out[k] += a * b
+        return LSeries1._of(lo, out, self.den * other.den, trunc)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LSeries1":
-        """Laurent inversion; the lowest known coefficient must be nonzero."""
+        """Laurent inversion; the lowest known coefficient must be nonzero.
+
+        With u = U/den and U an integer polynomial with U_0 != 0, the
+        coefficients of 1/U are X_e / U_0^(e+1), where X_0 = 1 and
+        X_e = -sum_{k=1..e} U_k U_0^(k-1) X_(e-k) are integers; so
+        1/u = den * sum_e X_e U_0^(n-1-e) eps^e / U_0^n.
+        """
         v = self.order()
         n = self.trunc - v + 1
-        u = [self.coeff(v + i) for i in range(n)]
-        out = [1 / u[0]]
+        nums = self.nums[v - self.min_exp:][:n]
+        u = nums + [0] * (n - len(nums))
+        u0 = u[0]
+        pw = [1]                      # pw[k] = U_0^k
+        for _ in range(n):
+            pw.append(pw[-1] * u0)
+        x = [1]
         for e in range(1, n):
-            out.append(-sum(u[k] * out[e - k] for k in range(1, e + 1)) * out[0])
-        return LSeries1(-v, out, self.trunc - 2 * v)
+            x.append(-sum(u[k] * pw[k - 1] * x[e - k] for k in range(1, e + 1) if u[k]))
+        out = [self.den * xe * pw[n - 1 - e] for e, xe in enumerate(x)]
+        return LSeries1._of(-v, out, pw[n], self.trunc - 2 * v)
 
     def __rtruediv__(self, other):
         inv = self.inverse()
         return inv if other == 1 else inv * other
 
     def __repr__(self):
-        bits = ["(%s)eps^%d" % (c, self.min_exp + i) for i, c in enumerate(self.coeffs) if c]
+        bits = ["(%s)eps^%d" % (Fraction(a, self.den), self.min_exp + i)
+                for i, a in enumerate(self.nums) if a]
         return " + ".join(bits or ["0"]) + " + O(eps^%d)" % (self.trunc + 1)
 
 

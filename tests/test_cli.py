@@ -351,3 +351,26 @@ def test_exact_export_bytes_pinned(tmp_path):
         rows = action_matrix_json(root, (0, 0), (F(9, 2), F(5, 2)), 2, 2)
         got["action." + root] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert got == EXPORT_DIGESTS
+
+
+# SHA-256 of the float-path export: compute --format csv output per kind at
+# delta=(0,1), lambda=(3.3+0.4i,0.7-0.2i), j <= 2, |n| <= 2, so that any
+# change to the bits of a complex entry is seen.
+FLOAT_EXPORT_DIGESTS = {
+    "A1.csv": "1e02606e1e1877a362f16ec4bc0f92ebea4df3569083e226499653224a889016",
+    "A2.csv": "18ab09facedb90c275afa83cfb0ffe39e523459a7b700b4f5d1b3e61ae069241",
+    "A3.csv": "125f98db8a9e24b26b2202c9dda873ec736657aa4f1c9e05c62ed9d5909900ba",
+    "A4.csv": "55c4ea215954190e057af5ef8a5dacae53e70bc70d83933f3381c487365b5420",
+    "LONG.csv": "2500c565bfd9397a8960e61b3f1dc59e9df9d71eff7ce82ebf3ebeccce62d657",
+}
+
+
+def test_float_export_bytes_pinned(tmp_path):
+    got = {}
+    for kind in ("A1", "A2", "A3", "A4", "LONG"):
+        out = str(tmp_path / kind)
+        assert main(["compute", "--kind", kind, "--delta", "0,1", "--lambda", "3.3+0.4i,0.7-0.2i",
+                     "--jmax", "2", "--nmax", "2", "--out", out, "--format", "csv"]) == 0
+        assert len(os.listdir(out)) == 8
+        got[kind + ".csv"] = _dir_digest(out)
+    assert got == FLOAT_EXPORT_DIGESTS

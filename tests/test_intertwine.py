@@ -102,9 +102,37 @@ def test_mn_trivial():
     assert N.entries[0][0] == ExactScalar(1)
 
 
+def test_spin_caches_are_bounded():
+    # lru_caches of one fixed size that holds the 13 spins verify --deep reads
+    for cache in (mn_matrices, intertwine._s_terms):
+        assert cache.cache_info().maxsize == intertwine._SPINS_KEPT >= 13
+
+
 # ---------------------------------------------------------------------------
 # S entries
 # ---------------------------------------------------------------------------
+
+def test_s_block_is_the_term_by_term_sum():
+    # the exact entry equals the sum of i^{-2 m4} M N factor(z, m4) over m4;
+    # the complex entry adds the same terms in m4 order from 0j, so it has
+    # the same bits
+    for tj in range(0, 7):
+        j = HalfInt(tj)
+        M, N = mn_matrices(j)
+        ms = half_range(-j, j)
+        for z, factor in ((F(7, 2), q_ratio), (F(5, 2), q_factor), (2.3 + 0.7j, q_ratio)):
+            floaty = isinstance(z, complex)
+            block = intertwine._s_block(j, ms, ms, z, factor)
+            for a in range(len(ms)):
+                for b in range(len(ms)):
+                    want = 0j if floaty else ExactScalar(0)
+                    for i, m4 in enumerate(ms):
+                        c = ExactScalar.i_power(-m4.twice) * (M.entries[a][i] * N.entries[i][b])
+                        if c:
+                            want = want + (c.to_complex() if floaty else c) * factor(z, m4)
+                    assert block[a][b] == want
+                    assert repr(block[a][b]) == repr(want)
+
 
 def test_s_entry_trivial_and_parity():
     for z in (F(3, 2), F(2), F(7, 2)):

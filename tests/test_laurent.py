@@ -73,6 +73,108 @@ def test_inverse():
     assert prod.coeff(0) == 1 and prod.coeff(1) == 0
 
 
+def test_scalar_add_beyond_window():
+    # the constant term lies beyond a window that ends below eps^0: it is
+    # unknown there, so the sum is the same jet
+    s = LSeries1(-3, [F(1), F(2)], -1)
+    for t in (s + 1, 1 + s, s - 1, s + F(-5, 3), s - F(1, 2)):
+        assert (t.min_exp, t.trunc) == (-3, -1)
+        assert [t.coeff(e) for e in range(-5, 0)] == [0, 0, 1, 2, 0]
+        with pytest.raises(TruncationError):
+            t.coeff(0)
+    t = LSeries1(-3, [F(1), F(2)], 0) - F(1, 2)
+    assert (t.min_exp, t.trunc) == (-3, 0)
+    assert [t.coeff(e) for e in range(-3, 1)] == [1, 2, 0, F(-1, 2)]
+
+
+# A schoolbook reference on Fraction lists with the jet window rules: a jet
+# is (min_exp, coefficients, trunc).
+
+def _ref_at(a, e):
+    i = e - a[0]
+    return a[1][i] if 0 <= i < len(a[1]) else F(0)
+
+
+def _ref_add(a, b):
+    trunc = min(a[2], b[2])
+    lo = min(a[0], b[0])
+    hi = min(max(a[0] + len(a[1]), b[0] + len(b[1])) - 1, trunc)
+    return lo, [_ref_at(a, e) + _ref_at(b, e) for e in range(lo, hi + 1)], trunc
+
+
+def _ref_mul(a, b):
+    trunc = min(a[2] + b[0], b[2] + a[0])
+    lo = a[0] + b[0]
+    out = [F(0)] * (trunc - lo + 1)
+    for e in range(lo, trunc + 1):
+        for i, x in enumerate(a[1]):
+            out[e - lo] += x * _ref_at(b, e - a[0] - i)
+    return lo, out, trunc
+
+
+def _ref_scale(a, c):
+    return a[0], [x * c for x in a[1]], a[2]
+
+
+def _ref_inverse(a):
+    v = next(a[0] + i for i, c in enumerate(a[1]) if c)
+    n = a[2] - v + 1
+    u = [_ref_at(a, v + i) for i in range(n)]
+    out = [1 / u[0]]
+    for e in range(1, n):
+        out.append(-sum(u[k] * out[e - k] for k in range(1, e + 1)) / u[0])
+    return -v, out, a[2] - 2 * v
+
+
+def _assert_same(jet, ref):
+    lo, coeffs, trunc = ref
+    assert (jet.min_exp, jet.trunc) == (lo, trunc)
+    for e in range(lo - 2, trunc + 1):
+        got = jet.coeff(e)
+        assert type(got) is F and got == _ref_at(ref, e), (e, jet, ref)
+    with pytest.raises(TruncationError):
+        jet.coeff(trunc + 1)
+    assert jet.is_zero() == (not any(coeffs))
+    if any(coeffs):
+        assert jet.order() == next(lo + i for i, c in enumerate(coeffs) if c)
+
+
+def test_jets_match_fraction_reference(rng):
+    def rand_coeff():
+        return F(rng.randrange(-40, 41), rng.choice([1, 2, 3, 4, 6, 9, 10, 49, 64]))
+
+    def rand_ref():
+        lo = rng.randrange(-4, 3)
+        n = rng.randrange(1, 6)
+        coeffs = [rand_coeff() for _ in range(n)]
+        if rng.random() < 0.7:
+            # a leading coefficient that is nonzero, often negative and not a unit
+            coeffs[0] = rng.choice([-1, 1]) * F(rng.randrange(2, 30), rng.randrange(1, 12))
+        return lo, coeffs, lo + n - 1 + rng.randrange(0, 4)
+
+    for _ in range(200):
+        a, b = rand_ref(), rand_ref()
+        ja, jb = LSeries1(*a), LSeries1(*b)
+        _assert_same(ja, a)
+        _assert_same(ja + jb, _ref_add(a, b))
+        _assert_same(ja - jb, _ref_add(a, _ref_scale(b, -1)))
+        _assert_same(ja * jb, _ref_mul(a, b))
+        c, k = rand_coeff(), rng.randrange(-5, 6)
+        for s in (c, k):
+            _assert_same(ja * s, _ref_scale(a, s))
+            _assert_same(s * ja, _ref_scale(a, s))
+            if a[2] >= 0:
+                _assert_same(ja + s, _ref_add(a, (0, [F(s)], a[2])))
+                _assert_same(s + ja, _ref_add(a, (0, [F(s)], a[2])))
+        if any(a[1]):
+            inv = _ref_inverse(a)
+            _assert_same(ja.inverse(), inv)
+            _assert_same(c / ja, _ref_scale(inv, c))
+        else:
+            with pytest.raises(ValueError):
+                ja.inverse()
+
+
 def test_window_tracking():
     a = LSeries1(0, [F(1), F(1)], 1)
     b = LSeries1(-1, [F(1)], 5)
