@@ -300,7 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# BLAS thread pools cost more than they save on 4x4 matrices: scipy's expm
+# on one takes milliseconds with the default pool and microseconds with one
+# thread.  Read by numpy's BLAS when numpy is first imported.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    for var in BLAS_THREAD_VARS:      # a value the user set is kept
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,7 +12,10 @@ inverse is defined for a single monomial.  A linear combination of such
 sums is built in integer scratch form (``_mul_acc``, on {radical key:
 (numerator, denominator)} dicts) and turned into reduced values once per
 output coefficient (``ExactScalar.settle``); ``__mul__`` and ``_mul_acc``
-share one product rule for radical monomials.
+share one product rule for radical monomials, ``_radical_product``, which
+they read through a bounded memo keyed by the pair of radical keys
+(``_key_product``): a run meets a few dozen keys and multiplies them
+hundreds of thousands of times.
 The complex floating-point fallback is plain ``complex``; an exact constant
 enters a float computation only through ``lift``.
 """
@@ -176,6 +179,25 @@ def _radical_product(k1, k2):
     return (r, p1 + p2, i1 != i2), f
 
 
+# The memo of _radical_product, {(k1, k2): (key, f)}.  Only a few dozen
+# radical keys occur in a run, so it holds every pair verify --deep meets;
+# it starts again from empty if it ever fills.  It needs no lock: threads
+# that race on it can only compute the same pure value twice.
+_KEY_PRODUCTS = {}
+_KEY_PRODUCTS_KEPT = 4096
+
+
+def _key_product(k1, k2):
+    """``_radical_product(k1, k2)``, memoized in ``_KEY_PRODUCTS``: the one
+    product rule of ``ExactScalar.__mul__`` and ``_mul_acc``."""
+    kf = _KEY_PRODUCTS.get((k1, k2))
+    if kf is None:
+        if len(_KEY_PRODUCTS) >= _KEY_PRODUCTS_KEPT:
+            _KEY_PRODUCTS.clear()
+        kf = _KEY_PRODUCTS[k1, k2] = _radical_product(k1, k2)
+    return kf
+
+
 def _merge(out: dict, key, q) -> None:
     """out[key] += q in place; a value that cancels is dropped."""
     if key in out:
@@ -198,15 +220,18 @@ def _mul_acc(acc: dict, index, a, b) -> None:
     denominators combine by their lcm.  A key whose numerator reaches 0 is
     dropped, and an index whose terms all cancel is deleted, so it goes last
     if it comes back.  ``ExactScalar.from_scratch`` turns a cell into an
-    ExactScalar.
+    ExactScalar.  The product of two radical keys is read from the memo
+    ``_KEY_PRODUCTS`` (``_key_product`` fills it), so ``_radical_product``
+    runs once per pair of keys.
     """
     cell = acc.get(index)
     if cell is None:
         cell = acc[index] = {}
     bterms = b.items()
+    products = _KEY_PRODUCTS
     for k1, (n1, d1) in a.items():
         for k2, (n2, d2) in bterms:
-            key, f = _radical_product(k1, k2)
+            key, f = products.get((k1, k2)) or _key_product(k1, k2)
             n = n1 * n2 * f
             d = d1 * d2
             old = cell.get(key)
@@ -323,7 +348,7 @@ class ExactScalar:
         out = {}
         for k1, q1 in self.terms.items():
             for k2, q2 in other.terms.items():
-                key, f = _radical_product(k1, k2)
+                key, f = _key_product(k1, k2)
                 q = q1 * q2
                 _merge(out, key, q if f == 1 else q * f)
         return ExactScalar._wrap(out)

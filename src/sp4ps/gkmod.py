@@ -29,9 +29,26 @@ basis vector gets an integer id on first sight, and dl of a label on a
 vector is a row of (target id, coefficient), built once when it is first
 read (``_dl_row``), so dl of a label is a row lookup.  Tables are filled
 under a lock, so ``verify``'s threads may share them, and only the tables
-of the last ``_TABLES_KEPT`` characters are kept.  The pieces of a row
-that do not depend on lambda (Clebsch-Gordan values, ladder factors, the
-compact actions) are cached by their integer arguments.
+of the last ``_TABLES_KEPT`` characters are kept.
+
+A u-row depends on lambda only through the affine factors of its three
+dr(u_nu) terms (``_dr_terms``).  Everything else is its skeleton
+(``_skeleton``), cached per (catalog label, 2j, 2m1, 2m2) and shared
+across n, delta and characters: for each term and each j0, the target's
+twice-values and the product of two Clebsch-Gordan values, in scratch form
+and as a complex number (``_cg_value``: a few dozen distinct values, each
+held once).  A row is then one
+multiply-accumulate per skeleton entry, of its CG product and its term's
+coefficient -factor * affine at the table's lambda, in the order of the
+CG expansion; each table keeps those three coefficients per (family, j, n,
+m2).  A U-row comes from ``_dl_k_cached``, the compact action in closed
+form on twice-values: U0 = i n and U3 = i m1, and U1, U2 from the m1
+ladders g+- (``wigner.dl_gamma`` is the independent route the tests
+compare with); its coefficients take a few dozen values, each one
+ExactScalar (``_half_radical``).  These lambda-free caches (and the Clebsch-Gordan values and
+ladder factors below them) are keyed by spins from the window; each has a
+fixed size that holds what ``verify --deep`` reads.  No skeleton or row is
+built at import.
 
 Linear combinations are dicts {basis index: coefficient}.  dl of an
 element, of the Casimir and of a bracket are summed over ids by one
@@ -61,9 +78,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, _merge, _mul_acc, half_range, lift
+from .exact import Character, ExactScalar, HalfInt, _merge, _mul_acc, _square_split, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
-from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1, dl_gamma
+from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
 
 class DecompositionError(ValueError):
@@ -135,9 +152,15 @@ RSum = ExactScalar
 def cyc8_to_rsum(z: Cyc8) -> ExactScalar:
     """a + b w + c w^2 + d w^3 with w = e^{i pi/4}: real/imag parts split
     over the radical classes 1 and sqrt2."""
+    return ExactScalar.from_scratch(_cyc8_scratch(z))
+
+
+def _cyc8_scratch(z: Cyc8) -> dict:
+    """``cyc8_to_rsum`` in integer scratch form: a + c i + ((b - d)/2) sqrt2
+    + ((b + d)/2) sqrt2 i, zero parts left out."""
     a, b, c, d = z.c
-    return (ExactScalar(a) + ExactScalar(c, 1, 0, True)
-            + ExactScalar((b - d) / 2, 2) + ExactScalar((b + d) / 2, 2, 0, True))
+    parts = (((1, 0, False), a), ((1, 0, True), c), ((2, 0, False), (b - d) / 2), ((2, 0, True), (b + d) / 2))
+    return {k: (q.numerator, q.denominator) for k, q in parts if q}
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +207,16 @@ def lc_scale(a: dict, c) -> dict:
 # left action of p_C
 # ---------------------------------------------------------------------------
 
+# The lambda-free caches below are keyed by spins, so their size follows the
+# window; each holds every key verify --deep reads, with room to spare.
+_CG_KEPT = 1024
+_LADDER_KEPT = 256
+_SKELETONS_KEPT = 4096
+_DL_K_KEPT = 8192
+
+
 # keyed by twice j and twice m1: it does not depend on lambda
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CG_KEPT)
 def _cg(tj: int, tm1: int, m2: int, j0: int) -> dict:
     """<j+j0, m1+m2 | j, m1, 1, m2> in integer scratch form; {} out of range."""
     try:
@@ -200,30 +231,30 @@ _I = ExactScalar.i_power(1)
 
 
 # keyed by twice j and twice m2: it does not depend on lambda
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LADDER_KEPT)
 def _ladder(tj: int, tm2: int) -> ExactScalar:
     """-i sqrt((j - m2)(j + m2 + 1)), the m2-ladder factor of dr(u_nu)."""
     return -_I * ExactScalar.sqrt_rational((tj - tm2) * (tj + tm2 + 2) // 4)
 
 
-def _dr_terms(lab: tuple, j, n, m2, lam):
-    """The three dr(u_nu) contributions as (m_nu, exact factor, affine
-    factor, m2 shift).  The i/sqrt2 and ladder factors do not depend on
-    lambda and stay exact; the affine factor is a Fraction at rational
-    lambda and complex at complex lambda."""
+# (m_nu, m2 shift) of the three dr(u_nu) terms, by the family n_beta = +-1
+_DR_SHAPE = {1: ((-1, 0), (1, 0), (0, 1)), -1: ((1, 0), (-1, 0), (0, -1))}
+
+
+def _dr_terms(n_beta: int, tj: int, tn: int, tm2: int, lam) -> tuple:
+    """The (exact factor, affine factor) of the three dr(u_nu) terms, in
+    the order of ``_DR_SHAPE``, on twice-values j, n, m2.  The i/sqrt2 and
+    ladder factors do not depend on lambda and stay exact; the affine
+    factor is a Fraction at rational lambda and complex at complex lambda.
+    It is the only place where a row meets lambda."""
     l1, l2 = lam
-    tn, tm2 = n.twice, m2.twice
-    if lab[2] == 1:
-        return [
-            (-1, _I_OVER_SQRT2, Fraction(tm2 - tn, 2) - (l2 + 1), 0),
-            (1, _I_OVER_SQRT2, Fraction(-tn - tm2, 2) - (l1 + 2), 0),
-            (0, _ladder(j.twice, tm2), 1, 1),
-        ]
-    return [
-        (1, _I_OVER_SQRT2, Fraction(tn - tm2, 2) - (l2 + 1), 0),
-        (-1, _I_OVER_SQRT2, Fraction(tn + tm2, 2) - (l1 + 2), 0),
-        (0, _ladder(j.twice, -tm2), 1, -1),
-    ]
+    if n_beta == 1:
+        return ((_I_OVER_SQRT2, Fraction(tm2 - tn, 2) - (l2 + 1)),
+                (_I_OVER_SQRT2, Fraction(-tn - tm2, 2) - (l1 + 2)),
+                (_ladder(tj, tm2), 1))
+    return ((_I_OVER_SQRT2, Fraction(tn - tm2, 2) - (l2 + 1)),
+            (_I_OVER_SQRT2, Fraction(tn + tm2, 2) - (l1 + 2)),
+            (_ladder(tj, -tm2), 1))
 
 
 def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
@@ -232,7 +263,8 @@ def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
     lab = _noncompact(beta)
     lam = chi.lam
     out = {}
-    for m_nu, factor, affine, shift in _dr_terms(lab, v.j, v.n, v.m2, lam):
+    terms = _dr_terms(lab[2], v.j.twice, v.n.twice, v.m2.twice, lam)
+    for (m_nu, shift), (factor, affine) in zip(_DR_SHAPE[lab[2]], terms):
         m2p = v.m2 + shift
         coef = lift(factor, lam[0]) * affine
         if m_nu == lab[1] and coef and abs(m2p.twice) <= v.j.twice:
@@ -260,31 +292,84 @@ def _dl_p_cached(lab: tuple, v: WignerIndex, chi: Character) -> dict:
 # ---------------------------------------------------------------------------
 
 def dl_k_action(gen, v: WignerIndex) -> dict:
-    """dl of a compact generator U0..U3 (``wigner.dl_gamma`` takes the gamma
-    basis g0, g3, g+, g-).  Coefficients are ExactScalar."""
+    """dl of a compact generator U0..U3.  Coefficients are ExactScalar."""
     if gen not in ("U0", "U1", "U2", "U3"):
         raise ValueError("unknown compact generator %r: dl_k_action takes U0..U3" % (gen,))
     return dict(_dl_k_cached(("U", int(gen[1])), v))
 
 
-_HALF = ExactScalar(Fraction(1, 2))
-_MINUS_I_HALF = ExactScalar(Fraction(-1, 2), 1, 0, True)    # 1/(2i) = -i/2
-
-
 # keyed by (catalog label ("U", i), basis vector): a compact action does not
 # depend on lambda.  Shared like _dl_p_cached.
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DL_K_KEPT)
 def _dl_k_cached(lab: tuple, v: WignerIndex) -> dict:
+    """dl of ("U", i) on v in closed form, from the twice-values: U0 = i n
+    and U3 = i m1 are diagonal; g+- move m1 to m1 +- 1 with the factor
+    -i sqrt((j -+ m1)(j +- m1 + 1)), and U1 = (g+ + g-)/2,
+    U2 = (-i/2) g+ + (i/2) g-.  Keys are in the order g+, g-.
+    ``wigner.dl_gamma`` is the independent route the tests compare with."""
     i = lab[1]
-    if i in (0, 3):    # U0 = gamma_0, U3 = gamma_3
-        return dl_gamma("g0" if i == 0 else "g3", v)
-    # gamma_1 = (g+ + g-)/2, gamma_2 = (g+ - g-)/(2i)
-    cp, cm = (_HALF, _HALF) if i == 1 else (_MINUS_I_HALF, -_MINUS_I_HALF)
-    acc = {}
-    for c, act in ((cp, dl_gamma("g+", v)), (cm, dl_gamma("g-", v))):
-        for k, val in act.items():
-            ExactScalar.mul_acc(acc, k, c, val)
-    return ExactScalar.settle(acc)
+    if i in (0, 3):
+        t = v.n.twice if i == 0 else v.m1.twice
+        return {v: _half_radical(t, 1, True)} if t else {}
+    tj, tm1 = v.j.twice, v.m1.twice
+    out = {}
+    for step in (1, -1):
+        ladder = (tj - step * tm1) * (tj + step * tm1 + 2) // 4
+        if ladder:
+            s, f = _square_split(ladder)
+            # (1/2)(-i s sqrt f) for U1; (-+i/2)(-i s sqrt f) = -+(s/2) sqrt f for U2
+            coef = _half_radical(-s, f, True) if i == 1 else _half_radical(-step * s, f, False)
+            out[WignerIndex(v.j, v.n, HalfInt(tm1 + 2 * step), v.m2)] = coef
+    return out
+
+
+# keyed by the value: compact rows take a few dozen values, shared by all
+@lru_cache(maxsize=_DL_K_KEPT)
+def _half_radical(num: int, f: int, im: bool) -> ExactScalar:
+    """(num/2) sqrt(f) i^im."""
+    return ExactScalar(Fraction(num, 2), f, 0, im)
+
+
+# ---------------------------------------------------------------------------
+# row skeletons: the lambda-free part of a u-row
+# ---------------------------------------------------------------------------
+
+# keyed by (catalog label, twice j, twice m1, twice m2): shared across n,
+# delta and characters
+@lru_cache(maxsize=_SKELETONS_KEPT)
+def _skeleton(lab: tuple, tj: int, tm1: int, tm2: int) -> tuple:
+    """The lambda-free part of the u-row of ``lab`` on a vector of
+    twice-values (j, n, m1, m2): ((dr-term index, target twice-values
+    j', m1', m2', CG product), ...), in the row's term order.  The target's
+    n is n + n_beta.  The CG product is
+    <j', m1' | j, m1, 1, m_beta> <j', m2' | j, m2 + shift, 1, m_nu>, as
+    the pair (scratch form, complex) of ``_cg_value``."""
+    _, m_beta, n_beta = lab
+    tm1t = tm1 + 2 * m_beta
+    out = []
+    for t, (m_nu, shift) in enumerate(_DR_SHAPE[n_beta]):
+        tm2p = tm2 + 2 * shift
+        if abs(tm2p) > tj:
+            continue
+        tm2t = tm2p + 2 * m_nu
+        for j0 in (-1, 0, 1):
+            tjt = tj + 2 * j0
+            if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1t) > tjt or abs(tm2t) > tjt:
+                continue
+            cg = _Scratch.product(_cg(tj, tm1, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
+            if cg:
+                out.append((t, tjt, tm1t, tm2t, _cg_value(tuple((k, tuple(nd)) for k, nd in cg.items()))))
+    return tuple(out)
+
+
+# keyed by the value: a few dozen CG products fill thousands of skeleton
+# entries, which share them
+@lru_cache(maxsize=_SKELETONS_KEPT)
+def _cg_value(items: tuple) -> tuple:
+    """The CG product with these (radical key, (numerator, denominator))
+    items, as (scratch form, complex): one pair per value."""
+    cell = dict(items)
+    return cell, ExactScalar.from_scratch(cell).to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +382,12 @@ class _Scratch:
     and a sum keeps one unreduced cell per output index."""
 
     one = _ONE.scratch()
+    form = 0            # the scratch form of a skeleton's CG product
     mul_acc = staticmethod(_mul_acc)
 
     @staticmethod
     def lift(c) -> dict:
         return ExactScalar.of(c).scratch()
-
-    @staticmethod
-    def lift_cell(cell: dict) -> dict:
-        return cell
 
     @staticmethod
     def product(a: dict, b: dict) -> dict:
@@ -339,14 +421,11 @@ class _Float:
     has the same bits on every run."""
 
     one = _ONE.to_complex()
+    form = 1            # the complex form of a skeleton's CG product
 
     @staticmethod
     def lift(c) -> complex:
         return c.to_complex() if c.__class__ is ExactScalar else c
-
-    @staticmethod
-    def lift_cell(cell: dict) -> complex:
-        return ExactScalar.from_scratch(cell).to_complex()
 
     @staticmethod
     def product(a: complex, b: complex) -> complex:
@@ -387,6 +466,7 @@ class _Table:
         self.ids = {}
         self.vecs = []
         self.rows = {lab: [] for lab in _LABELS}
+        self.coefs = {}
         self.lock = threading.RLock()
 
     def id(self, v: WignerIndex) -> int:
@@ -435,29 +515,27 @@ def _table(chi: Character) -> _Table:
 def _dl_row(table: _Table, lab: tuple, v: WignerIndex) -> tuple:
     """dl of one catalog label on v, as a row of the table: the one place
     where dl of a label is computed.  A u-row is the Clebsch-Gordan
-    expansion of dl(u_beta) = dr(-Ad(k^{-1}) u_beta), summed in the table's
-    arithmetic; a U-row is ``_dl_k_cached`` lifted."""
+    expansion of dl(u_beta) = dr(-Ad(k^{-1}) u_beta): its skeleton's
+    entries, each times the factor of its dr-term at the table's lambda,
+    summed in the table's arithmetic.  A U-row is ``_dl_k_cached`` lifted."""
     ar = table.arith
     if lab[0] == "U":
         return tuple((table.id(k), ar.lift(c)) for k, c in _dl_k_cached(lab, v).items())
-    j, m1, m2 = v.j, v.m1, v.m2
-    _, m_beta, n_beta = lab
-    # target twice-values: j + j0, n + n_beta, m1 + m_beta, m2 + shift + m_nu
-    tj, tn, tm1 = j.twice, v.n.twice + 2 * n_beta, m1.twice + 2 * m_beta
+    tj, tn, tm2 = v.j.twice, v.n.twice, v.m2.twice
+    # the dr-term coefficients -factor * affine, shared by the three labels
+    # of the family and every m1
+    key = (lab[2], tj, tn, tm2)
+    coefs = table.coefs.get(key)
+    if coefs is None:
+        coefs = table.coefs[key] = [ar.dl_coef(factor, affine)
+                                    for factor, affine in _dr_terms(*key, table.chi.lam)]
+    tnt = tn + 2 * lab[2]
+    form, mul_acc, key_id = ar.form, ar.mul_acc, table.key_id
     out = {}
-    for m_nu, factor, affine, shift in _dr_terms(lab, j, v.n, m2, table.chi.lam):
-        tm2p = m2.twice + 2 * shift
-        coef = ar.dl_coef(factor, affine)
-        if not coef or abs(tm2p) > tj:
-            continue
-        tm2 = tm2p + 2 * m_nu
-        for j0 in (-1, 0, 1):
-            tjt = tj + 2 * j0
-            if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1) > tjt or abs(tm2) > tjt:
-                continue
-            cg = _Scratch.product(_cg(tj, m1.twice, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
-            if cg:
-                ar.mul_acc(out, table.key_id((tjt, tn, tm1, tm2)), ar.lift_cell(cg), coef)
+    for t, tjt, tm1t, tm2t, cg in _skeleton(lab, tj, v.m1.twice, tm2):
+        coef = coefs[t]
+        if coef:
+            mul_acc(out, key_id((tjt, tnt, tm1t, tm2t)), cg[form], coef)
     return tuple((i, ar.freeze(c)) for i, c in out.items())
 
 
@@ -506,6 +584,9 @@ _CHEVALLEY_TO_CATALOG = {
     "-a1": {("U", 2): _es(-1), ("u", 0, 1): _es(Fraction(1, 2), 1, True), ("u", 0, -1): _es(Fraction(-1, 2), 1, True)},
 }
 
+_CATALOG_SCRATCH = {name: tuple((lab, ce.scratch()) for lab, ce in elem.items())
+                    for name, elem in _CHEVALLEY_TO_CATALOG.items()}
+
 
 def chevalley_element(name: str) -> dict:
     """Chevalley basis vector as an AlgElement (catalog-coefficient map)."""
@@ -522,9 +603,9 @@ def gmat_to_element(x: GMat) -> dict:
         raise DecompositionError(str(exc)) from exc
     acc = {}
     for name, c in coords.items():
-        c = cyc8_to_rsum(c).scratch()
-        for lab, ce in _CHEVALLEY_TO_CATALOG[name].items():
-            _mul_acc(acc, lab, c, ce.scratch())
+        c = _cyc8_scratch(c)
+        for lab, ce in _CATALOG_SCRATCH[name]:
+            _mul_acc(acc, lab, c, ce)
     return ExactScalar.settle(acc)
 
 

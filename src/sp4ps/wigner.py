@@ -242,7 +242,11 @@ def wigner_via_jacobi(idx_j, m1, m2, theta):
 # Clebsch-Gordan (V^j tensor V^1)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# keyed by spins from the window; holds every key verify --deep reads
+_CG_KEPT = 1024
+
+
+@lru_cache(maxsize=_CG_KEPT)
 def clebsch_gordan_j1(j, m1, m2: int, j0: int) -> ExactScalar:
     """<j+j0, m1+m2 | j, m1, 1, m2> from the nine-entry table."""
     j, m1 = HalfInt.of(j), HalfInt.of(m1)

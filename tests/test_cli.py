@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -374,3 +376,28 @@ def test_float_export_bytes_pinned(tmp_path):
         assert len(os.listdir(out)) == 8
         got[kind + ".csv"] = _dir_digest(out)
     assert got == FLOAT_EXPORT_DIGESTS
+
+
+# Runs main in a fresh interpreter: numpy must not be imported yet, and the
+# BLAS thread variables main sets are printed after it returns.
+_BLAS_PROBE = """
+import os, sys
+from sp4ps.cli import BLAS_THREAD_VARS, main
+assert "numpy" not in sys.modules
+assert main(["ktypes", "--jmax", "1", "--nmax", "1"]) == 0
+print(" ".join(os.environ.get(v, "unset") for v in BLAS_THREAD_VARS))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1 1 1"), ("3", "3 3 3")], ids=["unset", "preset"])
+def test_main_pins_blas_threads_unless_set(preset, want):
+    import sp4ps
+    from sp4ps.cli import BLAS_THREAD_VARS
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sp4ps.__file__))
+    if preset is not None:
+        env.update({v: preset for v in BLAS_THREAD_VARS})
+    done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == want

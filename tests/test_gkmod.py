@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sp4ps import gkmod
+from sp4ps import exact, gkmod, wigner
 from sp4ps.exact import Character, ExactScalar, HalfInt, lift
 from sp4ps.gkmod import (NONCOMPACT, DecompositionError, action_matrix_json, bracket_check, casimir_check,
                          check_index, chevalley_element,
@@ -25,7 +25,8 @@ from sp4ps.gkmod import (NONCOMPACT, DecompositionError, action_matrix_json, bra
                          omega2_action)
 from sp4ps.sp4 import (ALL_ROOTS, Cyc8, GMat, chevalley, decompose_chevalley, hc_omega2, omega2_words,
                        random_element, u2_generators, u_beta)
-from sp4ps.wigner import WignerIndex, euler_from_u2, wigner_D, EulerAngles
+from sp4ps.wigner import (EulerAngles, OutOfRange, WignerIndex, clebsch_gordan_j1, dl_gamma, euler_from_u2,
+                          wigner_D)
 
 CHI = Character((0, 0), (F(5, 2), F(3, 2)))
 
@@ -604,6 +605,174 @@ def test_dl_k_action_rejects_a_gamma_name():
     # the gamma basis is wigner.dl_gamma's; dl_k_action takes U0..U3
     with pytest.raises(ValueError, match="'g\\+'"):
         dl_k_action("g+", WignerIndex.of(1, 1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the row paths: closed-form compact rows, u-row skeletons, the key memo
+# ---------------------------------------------------------------------------
+
+def _all_vectors(tj_max):
+    """Every Wigner index with 2j <= tj_max, n of j's parity with |n| <= 1
+    (1/2, 3/2 at half-odd j), and every m1, m2."""
+    out = []
+    for tj in range(tj_max + 1):
+        s = tj % 2
+        for tn in (s - 2, s, s + 2):
+            for tm1 in range(-tj, tj + 1, 2):
+                for tm2 in range(-tj, tj + 1, 2):
+                    out.append(WignerIndex(*map(HalfInt, (tj, tn, tm1, tm2))))
+    return out
+
+
+def _dl_gamma_composition(i, v):
+    """dl(U_i) v from wigner.dl_gamma: U0 = g0, U3 = g3, U1 = (g+ + g-)/2,
+    U2 = (g+ - g-)/(2i), summed in ExactScalar arithmetic."""
+    if i in (0, 3):
+        return dl_gamma("g0" if i == 0 else "g3", v)
+    half = ExactScalar(F(1, 2))
+    cp, cm = (half, half) if i == 1 else (ExactScalar(F(-1, 2), 1, 0, True), ExactScalar(F(1, 2), 1, 0, True))
+    out = {}
+    for c, act in ((cp, dl_gamma("g+", v)), (cm, dl_gamma("g-", v))):
+        for k, val in act.items():
+            out[k] = out[k] + c * val if k in out else c * val
+    return {k: c for k, c in out.items() if c}
+
+
+def test_compact_rows_match_the_dl_gamma_composition():
+    # every vector with j <= 3 (and |n| <= 3), each U_i: the same targets in
+    # the same order, with equal ExactScalar values
+    gkmod._dl_k_cached.cache_clear()
+    vecs = [WignerIndex(*map(HalfInt, (tj, tn, tm1, tm2))) for tj in range(7) for tn in range(tj % 2 - 6, 7, 2)
+            for tm1 in range(-tj, tj + 1, 2) for tm2 in range(-tj, tj + 1, 2)]
+    assert len(vecs) == 924
+    for v in vecs:
+        for i in range(4):
+            want = list(_dl_gamma_composition(i, v).items())
+            assert list(gkmod._dl_k_cached(("U", i), v).items()) == want, (i, v)
+            assert list(dl_k_action("U%d" % i, v).items()) == want
+
+
+def _cg_expansion(lab, v, chi):
+    """dl(u_beta) v as the Clebsch-Gordan expansion of dl(u_beta) =
+    dr(-Ad(k^-1) u_beta), written out here: for each dr(u_nu) term (m_nu,
+    exact factor, affine factor, m2 shift) and each j0, the product of two
+    clebsch_gordan_j1 values times -factor * affine, added term by term
+    (ExactScalar at rational lambda, complex at complex lambda)."""
+    _, m_beta, n_beta = lab
+    l1, l2 = chi.lam
+    j, n, m1, m2 = (x.frac for x in (v.j, v.n, v.m1, v.m2))
+    i_over_sqrt2 = ExactScalar(F(1, 2), 2, 0, True)
+
+    def ladder(m):      # -i sqrt((j - m)(j + m + 1))
+        return -ExactScalar.i_power(1) * ExactScalar.sqrt_rational((j - m) * (j + m + 1))
+
+    if n_beta == 1:
+        terms = [(-1, i_over_sqrt2, (m2 - n) - (l2 + 1), 0), (1, i_over_sqrt2, (-n - m2) - (l1 + 2), 0),
+                 (0, ladder(m2), 1, 1)]
+    else:
+        terms = [(1, i_over_sqrt2, (n - m2) - (l2 + 1), 0), (-1, i_over_sqrt2, (n + m2) - (l1 + 2), 0),
+                 (0, ladder(-m2), 1, -1)]
+    out = {}
+    for m_nu, factor, affine, shift in terms:
+        coef = -(factor * affine) if chi.exact else -factor.to_complex() * affine
+        m2p = m2 + shift
+        if not coef or abs(m2p) > j:
+            continue
+        for j0 in (-1, 0, 1):
+            try:
+                cg = clebsch_gordan_j1(v.j, v.m1, m_beta, j0) * clebsch_gordan_j1(v.j, HalfInt.of(m2p), m_nu, j0)
+            except OutOfRange:
+                continue
+            if not cg:
+                continue
+            term = cg * coef if chi.exact else cg.to_complex() * coef
+            k = WignerIndex.of(v.j + j0, v.n + n_beta, v.m1 + m_beta, HalfInt.of(m2p + m_nu))
+            if k in out:
+                total = out[k] + term
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+            else:
+                out[k] = term
+    return out
+
+
+@pytest.mark.parametrize("chi", [Character((0, 0), (F(7, 3), F(-4, 5))),
+                                 Character((1, 1), (2.3 + 0.7j, 0.4 - 0.2j))], ids=["exact", "complex"])
+def test_skeleton_rows_match_a_cg_expansion(chi):
+    # rows built from cold skeletons, for all six u-labels on every vector
+    # with j <= 2: the same targets in the same order and the same values,
+    # complex ones by repr (so the same bits)
+    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, gkmod._cg_value):
+        cache.cache_clear()
+    vecs = _all_vectors(4)
+    for lab in gkmod._LABELS[:6]:
+        for v in vecs:
+            got, want = list(dl_p_action(lab, v, chi).items()), list(_cg_expansion(lab, v, chi).items())
+            if chi.exact:
+                assert got == want, (lab, v)
+            else:
+                assert repr(got) == repr(want), (lab, v)
+    # one skeleton per (label, j, m1, m2), shared by the three values of n
+    skeletons = gkmod._skeleton.cache_info()
+    assert skeletons.misses == 6 * len(vecs) // 3
+    assert skeletons.hits == 2 * skeletons.misses
+
+
+def test_key_product_memo_matches_the_rule(rng):
+    # every pair of radical keys multiplied in a cold round of the module
+    # benchmark's windows (Casimir at four characters, brackets of dense
+    # pairs): the memo holds _radical_product's value, which multiplies the
+    # two monomials numerically
+    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, gkmod._cg_value, gkmod._cg):
+        cache.cache_clear()
+    exact._KEY_PRODUCTS.clear()
+    for delta, lam, j_max, n_max in (((0, 0), (F(5, 2), F(1, 3)), 2, 1), ((1, 1), (F(9, 4), F(-5, 7)), 2, 1),
+                                     ((0, 1), (F(11, 5), F(2, 9)), F(3, 2), F(3, 2)),
+                                     ((0, 0), (2.3 + 0.7j, 0.4 - 0.2j), 2, 1)):
+        chi = Character(delta, lam)
+        for v in _vectors(delta, j_max, n_max):
+            omega2_action(v, chi)
+    chi = Character((0, 0), (F(7, 3), F(4, 5)))
+    vecs = [ktype_basis(j, n, chi.delta)[0] for (j, n, _mult) in ktypes(chi.delta, 2, 1)]
+    for _ in range(6):
+        x, y = (_chevalley_sum([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(10)]) for _ in range(2))
+        assert bracket_check(x, y, vecs, chi)
+    seen = dict(exact._KEY_PRODUCTS)
+    assert 16 <= len(seen) < exact._KEY_PRODUCTS_KEPT
+
+    def value(key):
+        r, p, im = key
+        return math.sqrt(r) * math.pi ** (p / 2) * (1j if im else 1)
+
+    for (k1, k2), (key, f) in seen.items():
+        assert (key, f) == exact._radical_product(k1, k2)
+        assert abs(value(k1) * value(k2) - f * value(key)) < 1e-12 * abs(value(k1) * value(k2))
+
+
+def test_key_product_memo_empties_when_full(monkeypatch):
+    monkeypatch.setattr(exact, "_KEY_PRODUCTS_KEPT", 3)
+    exact._KEY_PRODUCTS.clear()
+    keys = [(r, 0, im) for r in (1, 2, 3, 6) for im in (False, True)]
+    for k1 in keys:
+        for k2 in keys:
+            assert exact._key_product(k1, k2) == exact._radical_product(k1, k2)
+            assert len(exact._KEY_PRODUCTS) <= 3
+    exact._KEY_PRODUCTS.clear()
+
+
+def test_lambda_free_caches_are_bounded():
+    # fixed sizes, each above what verify --deep reads at delta (0,0) and
+    # seed 7 (shown beside it), so that no entry is evicted there
+    for cache, size, deep in ((gkmod._cg, gkmod._CG_KEPT, 278), (gkmod._ladder, gkmod._LADDER_KEPT, 36),
+                              (gkmod._dl_k_cached, gkmod._DL_K_KEPT, 6060),
+                              (gkmod._skeleton, gkmod._SKELETONS_KEPT, 1584),
+                              (gkmod._cg_value, gkmod._SKELETONS_KEPT, 632),
+                              (gkmod._half_radical, gkmod._DL_K_KEPT, 45),
+                              (clebsch_gordan_j1, wigner._CG_KEPT, 315)):
+        assert cache.cache_info().maxsize == size > deep
+    assert exact._KEY_PRODUCTS_KEPT > 1516
 
 
 # SHA-256 of the module-layer outputs, recorded before the hot path was
