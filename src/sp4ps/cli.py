@@ -67,6 +67,12 @@ MELLIN_GRID = [(z, m) for z in (1.0, 1.5, 2.0, 2.5)
 
 NEEDS_RATIONAL = "needs rational lambda"
 
+# (delta, lambda) of the braid cells: exact at delta=(0,0) and (1,1), complex
+# at every delta class that has half-integer spins or half-odd Pochhammer
+# pairs, where rational lambda has no exact form
+BRAID_CHARS = [((0, 0), "7/3,4/5"), ((1, 1), "6,4"), ((0, 1), "3.3+0.4i,0.7-0.2i"),
+               ((1, 0), "1.7+0.3i,-0.4+1.1i"), ((1, 1), "2.3+0.7i,0.4-0.2i")]
+
 
 def _little_d_grid(rng):
     """(j, m1, m2, theta) for every j <= 5, m1 and m2, theta drawn per entry."""
@@ -102,7 +108,7 @@ def _suites(seed, deep, chi):
     zs = [Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(11, 2)]
     inversion_zs = [Fraction(7, 2), Fraction(5, 2), Fraction(11, 3)]
     iwasawa_ts = [Fraction(0), Fraction(3, 4), Fraction(5, 12), Fraction(8, 15)]
-    jmax_genfun = 3 if deep else 2        # the generating-function suites
+    jmax_small = 3 if deep else 2         # the generating-function and braid suites
     rational = chi.exact
     # the K-types with j + n <= 2, 0 <= n <= 1 that delta allows; m1 is j//2
     # at integer j and 1/2 at j = 1/2, 3/2
@@ -126,10 +132,14 @@ def _suites(seed, deep, chi):
         ("inversion", [("inversion-j=%d-delta=%d%d" % (j, d[0], d[1]), intertwine.inversion_check,
                         (j, j % 2 if d == (0, 0) else (j + 1) % 2, d, inversion_zs))
                        for d in ((0, 0), (1, 1)) for j in range(0, jmax + 1)]),
-        ("hg", [("hg-genfun-j=%d" % j, intertwine.hg_check, (j, zs)) for j in range(0, jmax_genfun + 1)]),
+        ("braid", [("braid-delta=%d%d-lambda=%s" % (d[0], d[1], lam), intertwine.braid_check,
+                    ([(j, n) for j, n, _ in gkmod.ktypes(d, jmax_small, jmax_small)],
+                     Character(d, _parse_lambda(lam))))
+                   for d, lam in BRAID_CHARS]),
+        ("hg", [("hg-genfun-j=%d" % j, intertwine.hg_check, (j, zs)) for j in range(0, jmax_small + 1)]),
         ("genfun", NEEDS_RATIONAL if not rational else [
             ("genfun-product-j=%d-n=%d" % (j, n), intertwine.genfun_check, ((j, n), chi))
-            for j in range(0, jmax_genfun + 1) if chi.delta in ((0, 0), (1, 1))
+            for j in range(0, jmax_small + 1) if chi.delta in ((0, 0), (1, 1))
             for n in ((j % 2, (j + 1) % 2) if chi.delta == (0, 0) else ((j + 1) % 2, j % 2))
             if gkmod.m_set(j, n, chi.delta)]),
         ("casimir", [("casimir-j=%s-n=%s" % (j, n), gkmod.casimir_check,
@@ -266,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def lam(p):
         p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=_parse_lambda("9/2,5/2"),
-                       help="continuous parameter: rationals p/q,p/q or complex re+imi")
+                       help="continuous parameter: rationals p/q,p/q or complex re+imi; "
+                            "a value that starts with '-' needs the = form, --lambda=-7/2,1")
 
     def window(p):
         p.add_argument("--jmax", type=Fraction, default=Fraction(2))

@@ -12,16 +12,17 @@ list of coefficients (``laurent``), read one coefficient of a product at a
 time.
 
 The long operator has two routes: the product A4 A3 A2 A1 of the simple
-operators, and the constant term of a two-variable generating function,
-divided by the per-block constant (z_A1)_j (z_A3)_j.  That constant is a
-closed form checked against the product over a stated range (see
-genfun_vs_product), not derived, so the genfun route runs without the
-product and genfun_check compares the two entry by entry.  Both
-routes compute a block as a whole: a factor that depends on one index only
-(a row, a column, an m4 or a p) is built once per block.  The lambda-free
-S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
-and exact S entries and block products are summed in the integer scratch
-form of ``exact._mul_acc``, each entry settled once.
+operators (the stages of LONG_WORD, from the one stage rule of the Weyl
+reflections a1 and a2 in word_stages), and the constant term of a
+two-variable generating function, divided by the per-block constant
+(z_A1)_j (z_A3)_j.  That constant is a closed form checked against the
+product over a stated range (see genfun_vs_product), not derived, so the
+genfun route runs without the product and genfun_check compares the two
+entry by entry.  Both routes compute a block as a whole: a factor that
+depends on one index only (a row, a column, an m4 or a p) is built once per
+block.  The lambda-free S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built
+once per spin (_s_terms), and exact S entries and block products are summed
+in the integer scratch form of ``exact._mul_acc``, each entry settled once.
 
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
@@ -43,15 +44,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput, _mul_acc,
                     gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite)
 from .gkmod import m_set
 from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
+from .sp4 import weyl_on_lambda
 from .wigner import EulerAngles, WignerIndex, c_factor, wigner_D
 
 
@@ -491,62 +494,77 @@ def hg_entry_ct(which: str, j, m1, m2, z) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# simple operators and the product path
+# stages along a Weyl word, and the product path
 # ---------------------------------------------------------------------------
 
-def _stage_args(chi: Character) -> dict:
-    l1, l2 = chi.lam
-    return {
-        "A1": (l1 - l2 + 1) / 2,
-        "A2": (l1 + 1) / 2,
-        "A3": (l1 + l2 + 1) / 2,
-        "A4": (l2 + 1) / 2,
-    }
+# A reduced word of the long Weyl element of C2: its simple reflections,
+# named as in sp4.weyl_on_lambda, in the order they act.  Stage Ak is its
+# k-th position.  BRAID_WORD is the other reduced word (braid_check).
+LONG_WORD = ("a1", "a2", "a1", "a2")
+BRAID_WORD = ("a2", "a1", "a2", "a1")
+
+# One stage of a word: its name, its reflection, its source and target
+# characters, and its argument.
+Stage = namedtuple("Stage", "name reflection source target argument")
 
 
-# the (row, column) parity sets of each stage: True is the delta-swapped set
-_STAGE_SETS = {"A1": (True, False), "A2": (True, True), "A3": (False, True), "A4": (False, False)}
+# kept for the last 32 (word, chi) pairs: the product and the generating
+# function read them once per block
+@lru_cache(maxsize=32)
+def word_stages(word: tuple, chi: Character) -> tuple:
+    """The stages of word from chi, in the order they act: at (delta_s, mu),
+    a1 has the argument (mu1-mu2+1)/2, a2 (mu2+1)/2, and both land at
+    weyl_on_lambda([r], mu), with delta swapped by a1.  A stage is named
+    A1..A4 on LONG_WORD and by reflection and position on any other word."""
+    stages = []
+    for pos, r in enumerate(word, 1):
+        mu1, mu2 = chi.lam
+        target = Character(chi.delta[::-1] if r == "a1" else chi.delta, weyl_on_lambda([r], chi.lam))
+        name = "A%d" % pos if word == LONG_WORD else "%s at position %d" % (r, pos)
+        stages.append(Stage(name, r, chi, target, (mu1 - mu2 + 1) / 2 if r == "a1" else (mu2 + 1) / 2))
+        chi = target
+    return tuple(stages)
 
 
-def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
-    """One normalized factor of the long operator: script-S blocks for
-    A1/A3 (with the delta-swapped row parity set), diagonal script-T for
-    A2/A4."""
-    if kind not in _STAGE_SETS:
-        raise ValueError("simple_operator kind must be one of A1..A4")
+def stage_operator(stage: Stage, ktype) -> BlockMatrix:
+    """The normalized block of a stage: script-S for a1, diagonal script-T for a2."""
     j, n = HalfInt.of(ktype[0]), HalfInt.of(ktype[1])
-    z = _stage_args(chi)[kind]
-    rows, cols = (m_set(j, n, chi.delta[::-1] if swap else chi.delta) for swap in _STAGE_SETS[kind])
-    with _named("stage %s (argument %s)" % (kind, z)):
-        if kind in ("A1", "A3"):
+    z = stage.argument
+    rows, cols = (m_set(j, n, c.delta) for c in (stage.target, stage.source))
+    with _named("stage %s (argument %s)" % (stage.name, z)):
+        if stage.reflection == "a1":
             ent = _s_block(j, rows, cols, z, q_ratio)
         else:
             ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
-        if not chi.exact:
+        if not stage.source.exact:
             ent = [[require_finite(e) for e in row] for row in ent]
     return BlockMatrix((j, n), rows, cols, ent)
+
+
+def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
+    """Stage ``kind`` (A1..A4) of LONG_WORD from chi."""
+    if kind not in KINDS[:4]:
+        raise ValueError("simple_operator kind must be one of A1..A4")
+    return stage_operator(word_stages(LONG_WORD, chi)[KINDS.index(kind)], ktype)
 
 
 def _zero_like(x):
     return lift(ExactScalar(0), x)
 
 
+def word_product(word, ktype, chi: Character) -> BlockMatrix:
+    """The stages of word from chi, built in acting order and folded left: ((A4 A3) A2) A1."""
+    return reduce(BlockMatrix.matmul, [stage_operator(st, ktype) for st in word_stages(word, chi)][::-1])
+
+
 def long_operator_product(ktype, chi: Character) -> BlockMatrix:
-    """A4 A3 A2 A1, each stage at its Weyl-translated spectral argument."""
-    a1 = simple_operator("A1", ktype, chi)
-    a2 = simple_operator("A2", ktype, chi)
-    a3 = simple_operator("A3", ktype, chi)
-    a4 = simple_operator("A4", ktype, chi)
-    return a4.matmul(a3).matmul(a2).matmul(a1)
+    """A4 A3 A2 A1: the product along LONG_WORD."""
+    return word_product(LONG_WORD, ktype, chi)
 
 
 # ---------------------------------------------------------------------------
 # the long operator via the two-variable generating function
 # ---------------------------------------------------------------------------
-
-def _epsilon_case(j: HalfInt, n: HalfInt, delta) -> int:
-    return 0 if ((j - n).as_int() - delta[0]) % 2 == 0 else 1
-
 
 def genfun_entry_raw(j, n, delta, m1, m2, lam) -> ExactScalar:
     """[A(lambda)]^{j,n}_{m1,m2}: the constant (t1,t2) Laurent coefficient
@@ -569,17 +587,19 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     """
     j, n = HalfInt.of(j), HalfInt.of(n)
     jj, nn = j.as_int(), n.as_int()
-    eps = _epsilon_case(j, n, delta)
+    eps = ((j - n).as_int() - delta[0]) % 2
     l1, l2 = Fraction(lam[0]), Fraction(lam[1])
     l1j = _jet(l1)
     half = Fraction(1, 2)
+    _a1, a2, _a3, a4 = word_stages(LONG_WORD, Character(delta, (l1, l2)))
     ps = range(0, jj - eps + 1)
     order = 2 * jj
     with _named("block (%s,%s)" % (j, n)):
         # p-only: (-1)^p times the lambda1 Pochhammer pair of exponent
         # (j-n-2p-eps)/2, as an eps jet where that exponent is an integer and
-        # exactly at the A2 argument where it is half-odd
-        z2, base = (l1 + 1) / 2, (l1j + 1) * half
+        # exactly at the A2 argument where it is half-odd; the A2 argument
+        # moves with lambda1 at half its rate
+        base = LSeries1(0, [a2.argument, half], _JET_HI)
         p_jet, p_exact = [], []
         for p in ps:
             pair_e = Fraction(jj - nn - 2 * p - eps, 2)
@@ -590,8 +610,8 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
                 p_exact.append(ExactScalar(1))
             else:
                 p_jet.append(sgn)
-                with _named("stage A2 Pochhammer pair (argument %s)" % z2):
-                    p_exact.append(q_ratio(z2, pair_e))
+                with _named("stage %s Pochhammer pair (argument %s)" % (a2.name, a2.argument)):
+                    p_exact.append(q_ratio(a2.argument, pair_e))
 
         # m1-only (rows): the t1 series and, per p, its jet and Gamma factors
         row_jet, row_gam, row_const = [], [], []
@@ -607,7 +627,6 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
 
         # m2-only (cols): the t2 series, the A4 Pochhammer pair and the phase
         col_jet, col_gam, col_const = [], [], []
-        z4 = (l2 + 1) / 2
         for m2 in cols:
             m2 = HalfInt.of(m2)
             b = m2.as_int()
@@ -617,8 +636,8 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
                             * pochhammer((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
                             for p in ps])
             col_gam.append([gamma_half(Fraction(1 - eps + jj + b, 2) - p) * p_exact[p] for p in ps])
-            with _named("stage A4 Pochhammer pair (argument %s)" % z4):
-                col_const.append(t_norm(n, m2, z4) / c_factor(j, m2))
+            with _named("stage %s Pochhammer pair (argument %s)" % (a4.name, a4.argument)):
+                col_const.append(t_norm(n, m2, a4.argument) / c_factor(j, m2))
 
         # i^{-n+j-2p-eps} = i^{j-n-eps} * (-1)^p: a fixed phase times a sign
         const = ExactScalar(Fraction(math.factorial(2 * jj)) ** 2, 1, -2) \
@@ -671,11 +690,11 @@ def genfun_vs_product(ktype, chi: Character):
     if not chi.exact:
         raise ValueError("generating-function path is exact-only")
     jj = j.as_int()
-    args = _stage_args(chi)
-    const = pochhammer(args["A1"], jj) * pochhammer(args["A3"], jj)
+    z1, z3 = (stage.argument for stage in word_stages(LONG_WORD, chi)[::2])
+    const = pochhammer(z1, jj) * pochhammer(z3, jj)
     if const == 0:
         raise PoleError("block (%s,%s): constant (z_A1)_%d (z_A3)_%d is 0 (arguments %s, %s)"
-                        % (j, n, jj, jj, args["A1"], args["A3"]))
+                        % (j, n, jj, jj, z1, z3))
     const = ExactScalar(const)
     ms = m_set(j, n, delta)
     raw = _genfun_raw_block(j, n, delta, ms, ms, chi.lam)
@@ -689,10 +708,8 @@ def genfun_vs_product(ktype, chi: Character):
 
 
 def long_operator_genfun(ktype, chi: Character) -> BlockMatrix:
-    """Long-operator block from the two-variable generating function,
-    divided by its closed-form per-block constant (see genfun_vs_product)."""
-    bm, _ = genfun_vs_product(ktype, chi)
-    return bm
+    """The block of genfun_vs_product, without its per-block constant."""
+    return genfun_vs_product(ktype, chi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +769,30 @@ def genfun_check(ktype, chi: Character) -> bool:
 
 
 def inversion_check(j, n, delta, zs) -> bool:
-    """sum_{m2} script-S_{m1,m2}(z) script-S_{m2,m3}(1-z) = delta_{m1,m3}
-    over the delta-swapped parity set, at each rational z."""
-    j, n = HalfInt.of(j), HalfInt.of(n)
-    d1, d2 = delta
-    ms = m_set(j, n, (d2, d1))
-    for z in map(Fraction, zs):
-        a = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, z, q_ratio))
-        b = BlockMatrix((j, n), ms, ms, _s_block(j, ms, ms, 1 - z, q_ratio))
-        if not a.matmul(b).is_identity():
+    """script-S(1-z) script-S(z) = identity at each rational z: a1 applied
+    twice from ((delta2,delta1), (2z-1, 0)), at the arguments z and 1-z."""
+    return all(word_product(("a1", "a1"), (j, n), Character(tuple(delta)[::-1], (2 * z - 1, 0)))
+               .is_identity() for z in map(Fraction, zs))
+
+
+def braid_check(ktypes, chi: Character) -> bool:
+    """The product along LONG_WORD equals the product along BRAID_WORD on
+    each K-type (j, n): the braid (Knapp-Stein cocycle) relation of the two
+    reduced words of the long Weyl element.  Exact at rational lambda, and
+    within 1e-12 max(1, largest |entry|) at complex lambda.  Both words use
+    the same four stage arguments, so a scalar factor per stage cancels and
+    this check cannot see the normalization."""
+    for kt in ktypes:
+        a, b = (word_product(word, kt, chi) for word in (LONG_WORD, BRAID_WORD))
+        if (a.row_index, a.col_index) != (b.row_index, b.col_index):
+            return False
+        if chi.exact:
+            if a.entries != b.entries:
+                return False
+            continue
+        pairs = [(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)]
+        tol = 1e-12 * max([1.0] + [abs(v) for p in pairs for v in p])
+        if any(abs(x - y) > tol for x, y in pairs):
             return False
     return True
 

@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 from sp4ps.exact import Character, HalfInt, half_range
 from sp4ps.gkmod import bracket_check, casimir_check, ktype_basis, ktypes, m_set
-from sp4ps.intertwine import (closed_form_check, genfun_check, hg_check, inversion_check,
-                              mellin_numeric_check, mn_inverse_check, parity_check)
+from sp4ps.intertwine import (braid_check, closed_form_check, genfun_check, hg_check,
+                              inversion_check, mellin_numeric_check, mn_inverse_check,
+                              parity_check)
 from sp4ps.sp4 import (hc_omega2, iwasawa_exact_check, iwasawa_float_check, random_element,
                        weyl_on_lambda)
 from sp4ps.wigner import (EulerAngles, WignerIndex, cg_product_check, d_matrix_check,
@@ -140,8 +141,22 @@ def test_criterion_11_parity_vanishing():
     _report(11, "parity vanishing of S", ok, t0)
 
 
+def test_criterion_12_braid_relation():
+    t0 = time.time()
+    # the long operator along both reduced Weyl words, on every block of
+    # j, |n| <= 3: exact at rational lambda (the blocks at (7,2) include zero
+    # ones), complex at every delta class
+    chars = [((0, 0), (F(7, 3), F(4, 5))), ((0, 0), (F(9, 2), F(5, 2))),
+             ((1, 1), (F(6), F(4))), ((1, 1), (F(7), F(2))), ((1, 1), (F(8), F(3))),
+             ((0, 1), (3.3 + 0.4j, 0.7 - 0.2j)), ((1, 0), (1.7 + 0.3j, -0.4 + 1.1j)),
+             ((1, 1), (2.3 + 0.7j, 0.4 - 0.2j))]
+    ok = all(braid_check([(j, n) for j, n, _ in ktypes(delta, 3, 3)], Character(delta, lam))
+             for delta, lam in chars)
+    _report(12, "two reduced words agree", ok, t0)
+
+
 def test_zz_summary():
     print()
     for line in _REPORT:
         print(line)
-    assert len(_REPORT) == 11
+    assert len(_REPORT) == 12

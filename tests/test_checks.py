@@ -40,6 +40,14 @@ CASES = [
      lambda bm: bm.scale(TWO)),
     (intertwine.inversion_check, lambda: (0, 0, (0, 0), [F(7, 2)]), intertwine, "q_ratio",
      lambda v: TWO * v),
+    (intertwine.braid_check, lambda: ([(1, 1)], CHI), intertwine, "word_product",
+     lambda bm: bm.scale(TWO)),
+    # at complex lambda: one word's block off by a relative 1e-9 is outside
+    # the tolerance
+    pytest.param(intertwine.braid_check,
+                 lambda: ([(F(3, 2), F(1, 2))], Character((0, 1), (3.3 + 0.4j, 0.7 - 0.2j))),
+                 intertwine, "word_product", lambda bm: bm.scale(1 + 1e-9),
+                 id="braid_check-complex"),
     (gkmod.casimir_check,
      lambda: ([WignerIndex.of(0, 0, 0, 0)], Character((0, 0), (F(3), F(1, 2)))),
      gkmod, "omega2_action", lambda out: {}),

@@ -124,6 +124,17 @@ def test_verify_unsupported_exact_input_exit_code(capsys):
     assert int(summary.group(2)) - int(summary.group(1)) == int(summary.group(3)) == int(m.group(1))
 
 
+def test_negative_first_lambda_part_needs_the_equals_form(capsys):
+    # argparse reads a value that starts with '-' as an option
+    assert main(["compute", "--lambda=-1,0", "--jmax", "0", "--nmax", "0"]) == 0
+    assert main(["compute", "--lambda=-7/2,1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--lambda", "-7/2,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_config_error_exit_code():
     with pytest.raises(SystemExit):
         main(["compute", "--delta", "3,0"])

@@ -5,16 +5,16 @@ import pytest
 
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                          gamma_half, half_range, parse_scalar)
-from sp4ps.gkmod import NONCOMPACT, dr_p_action, m_set
+from sp4ps.gkmod import NONCOMPACT, dr_p_action, ktypes, m_set
 from sp4ps import intertwine
-from sp4ps.intertwine import (BlockMatrix, DegenerateBlock, QuadratureError, block_from_json,
-                              block_to_csv, block_to_json, closed_form_check,
-                              genfun_check, genfun_vs_product, hg_check,
-                              inversion_check, long_operator_genfun,
+from sp4ps.intertwine import (BRAID_WORD, LONG_WORD, BlockMatrix, DegenerateBlock,
+                              QuadratureError, block_from_json, block_to_csv, block_to_json,
+                              braid_check, closed_form_check, genfun_check, genfun_vs_product,
+                              hg_check, inversion_check, long_operator_genfun,
                               long_operator_product, m_entry_genfun,
                               mellin_numeric_check, mn_inverse_check, mn_matrices,
                               q_factor, q_ratio, s_entry_3f2, s_entry_sum, s_norm,
-                              simple_operator, t_norm)
+                              simple_operator, t_norm, word_product, word_stages)
 from sp4ps.wigner import WignerIndex, little_d
 
 CHI = Character((0, 0), (F(9, 2), F(5, 2)))
@@ -327,6 +327,55 @@ def test_long_operator_product():
     bm = long_operator_product((1, 1), CHI)
     assert len(bm.row_index) == 2
     assert not bm.entries[0][0].is_zero()
+
+
+@pytest.mark.parametrize("lam", [(F(7, 3), F(4, 5)), (3.3 + 0.4j, 0.7 - 0.2j)])
+def test_stage_chain(lam):
+    l1, l2 = lam
+    for delta in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        chi = Character(delta, lam)
+        swapped = delta[::-1]
+        stages = word_stages(LONG_WORD, chi)
+        assert [(s.name, s.reflection) for s in stages] == [
+            ("A1", "a1"), ("A2", "a2"), ("A3", "a1"), ("A4", "a2")]
+        # the source characters of A1..A4
+        assert [s.source for s in stages] == [
+            chi, Character(swapped, (l2, l1)), Character(swapped, (l2, -l1)),
+            Character(delta, (-l1, l2))]
+        # the stage arguments of the README
+        assert [s.argument for s in stages] == [
+            (l1 - l2 + 1) / 2, (l1 + 1) / 2, (l1 + l2 + 1) / 2, (l2 + 1) / 2]
+        other = word_stages(BRAID_WORD, chi)
+        assert [s.name for s in other] == ["a2 at position 1", "a1 at position 2",
+                                           "a2 at position 3", "a1 at position 4"]
+        assert [s.argument for s in other] == [
+            (l2 + 1) / 2, (l1 + l2 + 1) / 2, (l1 + 1) / 2, (l1 - l2 + 1) / 2]
+        for word in (stages, other):
+            assert all(a.target == b.source for a, b in zip(word, word[1:]))
+            assert word[-1].target == Character(delta, (-l1, -l2))
+
+
+def test_stage_errors_name_the_stage():
+    # (lambda2+1)/2 = 0 is a pole of the a2 stage: A4 of the long word and
+    # the first stage of the other word
+    chi = Character((0, 0), (F(9, 2), F(-1)))
+    with pytest.raises(PoleError, match=r"^stage A4 \(argument 0\): "):
+        long_operator_product((2, 0), chi)
+    with pytest.raises(PoleError, match=r"^stage a2 at position 1 \(argument 0\): "):
+        word_product(BRAID_WORD, (2, 0), chi)
+
+
+def test_braid_relation():
+    # criterion 12 covers more characters; here a negative lambda2, and
+    # a2's argument shifted by 1/2 in both words breaks the relation
+    assert braid_check([(j, n) for j, n, _ in ktypes((0, 0), 2, 2)],
+                       Character((0, 0), (F(5, 3), F(-7, 4))))
+    def shifted(word, chi):
+        return [st._replace(argument=st.argument + F(1, 2)) if st.reflection == "a2" else st
+                for st in word_stages(word, chi)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intertwine, "word_stages", shifted)
+        assert not braid_check([(2, 0), (2, 1)], CHI)
 
 
 def test_inversion_identity():
