@@ -27,9 +27,10 @@ compact U_i.  ``dl_p_action`` also takes a root name or the weights
 The generators act through one table per character (``_table``): each
 basis vector gets an integer id on first sight, and dl of a label on a
 vector is a row of (target id, coefficient), built once when it is first
-read (``_dl_row``), so dl of a label is a row lookup.  Tables are filled
-under a lock, so ``verify``'s threads may share them, and only the tables
-of the last ``_TABLES_KEPT`` characters are kept.
+read (``_dl_row``), so dl of a label is a row lookup.  A table belongs to
+one process (``verify`` runs its cells in this process or in worker
+processes, never in threads), so it is filled without a lock, and only the
+tables of the last ``_TABLES_KEPT`` characters are kept.
 
 A u-row depends on lambda only through the affine factors of its three
 dr(u_nu) terms (``_dr_terms``).  Everything else is its skeleton
@@ -73,7 +74,6 @@ one kernel pass per inner label, not the eight words letter by letter.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -92,15 +92,12 @@ class DecompositionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def m_set(j, n, delta) -> list[HalfInt]:
-    """M(j,n;delta): admissible m2 values for the delta-parities."""
-    j, n = HalfInt.of(j), HalfInt.of(n)
+    """M(j,n;delta): the m2 with |m2| <= j, n - m2 = delta1 and n + m2 = delta2
+    (mod 2), read on twice-values mod 4; a new list on every call."""
+    tj, tn = HalfInt.of(j).twice, HalfInt.of(n).twice
     d1, d2 = delta
-    out = []
-    for m in half_range(-j, j):
-        a, b = (n - m), (n + m)
-        if a.is_integer() and (a.as_int() - d1) % 2 == 0 and (b.as_int() - d2) % 2 == 0:
-            out.append(m)
-    return out
+    return [HalfInt(tm) for tm in range(-tj, tj + 1, 2)
+            if (tn - tm) % 4 == 2 * d1 and (tn + tm) % 4 == 2 * d2]
 
 
 def ktype_allowed(j, n, delta) -> bool:
@@ -455,9 +452,8 @@ class _Table:
     Each basis vector gets an integer id on first sight (``id``), and
     ``rows[label][id]`` is dl of the label on that vector as a tuple of
     (target id, coefficient) in the character's arithmetic (``arith``), or
-    None until it is first read (``row``).  Ids are assigned and rows filled
-    under one lock, so threads may share a table; a result does not depend
-    on the ids, only on the order of the terms.
+    None until it is first read (``row``).  A result does not depend on the
+    ids, only on the order of the terms.
     """
 
     def __init__(self, chi: Character):
@@ -467,7 +463,6 @@ class _Table:
         self.vecs = []
         self.rows = {lab: [] for lab in _LABELS}
         self.coefs = {}
-        self.lock = threading.RLock()
 
     def id(self, v: WignerIndex) -> int:
         return self.key_id((v.j.twice, v.n.twice, v.m1.twice, v.m2.twice))
@@ -476,24 +471,16 @@ class _Table:
         """The id of the basis vector with twice-values key = (j, n, m1, m2)."""
         i = self.ids.get(key)
         if i is None:
-            with self.lock:
-                i = self.ids.get(key)
-                if i is None:
-                    i = len(self.vecs)
-                    self.vecs.append(WignerIndex(*map(HalfInt, key)))
-                    for rows in self.rows.values():
-                        rows.append(None)
-                    self.ids[key] = i    # published last: its rows exist
+            i = self.ids[key] = len(self.vecs)
+            self.vecs.append(WignerIndex(*map(HalfInt, key)))
+            for rows in self.rows.values():
+                rows.append(None)
         return i
 
     def row(self, lab: tuple, i: int) -> tuple:
-        rows = self.rows[lab]
-        row = rows[i]
+        row = self.rows[lab][i]
         if row is None:
-            with self.lock:
-                row = rows[i]
-                if row is None:
-                    row = rows[i] = _dl_row(self, lab, self.vecs[i])
+            row = self.rows[lab][i] = _dl_row(self, lab, self.vecs[i])
         return row
 
     def settle(self, items) -> dict:

@@ -4,9 +4,7 @@ import hashlib
 import json
 import math
 import random
-import sys
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -60,6 +58,23 @@ def test_ktypes_multiplicities():
                     assert mult == tj + 1
                 else:
                     assert mult == max(tj, 0)
+
+
+def test_m_set_is_the_parity_definition():
+    # every 2j <= 12, |2n| <= 12 and delta: the m = -j, -j+1, ..., j with
+    # n - m = delta1 and n + m = delta2 (mod 2), in order, as a new list
+    for d in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for tj in range(13):
+            j = F(tj, 2)
+            for tn in range(-12, 13):
+                n = F(tn, 2)
+                want = [-j + k for k in range(tj + 1)
+                        if (n + j - k).denominator == 1 and (n + j - k - d[0]) % 2 == 0
+                        and (n - j + k - d[1]) % 2 == 0]
+                got = m_set(HalfInt(tj), HalfInt(tn), d)
+                assert type(got) is list and got is not m_set(HalfInt(tj), HalfInt(tn), d)
+                assert all(type(m) is HalfInt for m in got)
+                assert [m.frac for m in got] == want
 
 
 def test_half_integer_ktypes():
@@ -449,36 +464,6 @@ def test_returned_actions_are_copies():
         first.clear()
         first[v] = ExactScalar(99)
         assert list(call().items()) == want
-
-
-@pytest.mark.parametrize("chi", [Character((0, 0), (F(7, 3), F(4, 5))),
-                                 Character((0, 0), (complex(2.3, 0.7), complex(0.4, -0.2)))],
-                         ids=["exact", "complex"])
-def test_tables_are_safe_under_threads(chi):
-    # four threads start together on a cold table, each on the whole window
-    # from another starting vector, with the interpreter switching threads
-    # often: ids and rows are assigned under the table's lock, so every
-    # thread gets the serial result, item for item
-    vecs = _vectors((0, 0), 2, 1)
-    gkmod._table.cache_clear()
-    serial = [list(omega2_action(v, chi).items()) for v in vecs]
-    gkmod._table.cache_clear()
-
-    def run(k):
-        order = vecs[k * len(vecs) // 4:] + vecs[:k * len(vecs) // 4]
-        out = {v: list(omega2_action(v, chi).items()) for v in order}
-        return [out[v] for v in vecs]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            results = list(pool.map(run, range(4), timeout=300))
-    finally:
-        sys.setswitchinterval(interval)
-        gkmod._table.cache_clear()
-    for got in results:
-        assert got == serial
 
 
 def test_tables_are_kept_for_the_last_characters_only():
