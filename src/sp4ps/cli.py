@@ -1,19 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (operator blocks to JSON/CSV), ``verify`` (the
-invariant suites, independent cells run in this process or in worker
-processes), ``ktypes`` (multiplicity table) and ``mellin-check``
-(quadrature grid).  A ``verify`` cell is a library ``*_check`` function with
-its inputs, the check the acceptance criteria and unit tests also run, so
-its tolerance lives in the check.  Exit codes: 0 success, 1 failed
-invariant, 2 pole, unsupported exact input, degenerate generating-function
-block, configuration error or a dead ``verify`` worker.
+invariant suites, independent cells run one at a time in this process),
+``ktypes`` (multiplicity table) and ``mellin-check`` (quadrature grid).  A
+``verify`` cell is a library ``*_check`` function with its inputs, the check
+the acceptance criteria and unit tests also run, so its tolerance lives in
+the check.  Exit codes: 0 success, 1 failed invariant, 2 pole, unsupported
+exact input, degenerate generating-function block or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import random
@@ -54,7 +52,7 @@ def _jobs(text: str) -> int:
     n = int(text) if text.isdecimal() else 0
     if n < 1:
         raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
-    return min(n, os.cpu_count() or 1)
+    return n
 
 
 def _seed() -> int:
@@ -164,41 +162,31 @@ def _suites(seed, deep, chi):
 
 def cmd_verify(args) -> int:
     # the cells' numeric libraries, imported before the clock starts so that
-    # a suite's time is its work; a forked worker inherits them
+    # a suite's time is its work
     import numpy, scipy.integrate, scipy.linalg, scipy.special  # noqa: F401
     seed = _seed()
     print("sp4ps verify  (seed %d)" % seed)
     suites = _suites(seed, args.deep, Character(args.delta, args.lam))
     t0 = time.time()
     failures = unsupported = total = 0
-    run, broken = map, ()
-    with contextlib.ExitStack() as stack:
-        if args.jobs > 1:
-            # imported here: multiprocessing stays out of `import sp4ps.cli`
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-            run, broken = stack.enter_context(ProcessPoolExecutor(args.jobs)).map, BrokenProcessPool
-        for name, cells in suites:
-            if not cells or isinstance(cells, str):
-                print("  %-12s skipped (%s)" % (name, cells or "no cells at delta=%d,%d" % args.delta))
-                continue
-            t_suite = time.time()
-            total += len(cells)
-            try:
-                results = [r for r in run(_run_cell, cells) if r is not None]
-            except broken as exc:
-                print("error: suite %s: a worker process died: %s" % (name, exc), file=sys.stderr)
-                return 2
-            bad = [text for is_unsup, text in results if not is_unsup]
-            unsup = [text for is_unsup, text in results if is_unsup]
-            failures += len(bad)
-            unsupported += len(unsup)
-            parts = []
-            if bad:
-                parts.append("FAIL(%s)" % ",".join(bad[:3]))
-            if unsup:
-                parts.append("unsupported(%s)" % ",".join(unsup[:3]))
-            status = " ".join(parts) or "pass"
-            print("  %-12s %3d cells  %s  (%.1fs)" % (name, len(cells), status, time.time() - t_suite))
+    for name, cells in suites:
+        if not cells or isinstance(cells, str):
+            print("  %-12s skipped (%s)" % (name, cells or "no cells at delta=%d,%d" % args.delta))
+            continue
+        t_suite = time.time()
+        total += len(cells)
+        results = [r for r in map(_run_cell, cells) if r is not None]
+        bad = [text for is_unsup, text in results if not is_unsup]
+        unsup = [text for is_unsup, text in results if is_unsup]
+        failures += len(bad)
+        unsupported += len(unsup)
+        parts = []
+        if bad:
+            parts.append("FAIL(%s)" % ",".join(bad[:3]))
+        if unsup:
+            parts.append("unsupported(%s)" % ",".join(unsup[:3]))
+        status = " ".join(parts) or "pass"
+        print("  %-12s %3d cells  %s  (%.1fs)" % (name, len(cells), status, time.time() - t_suite))
     print("%d/%d cells passed in %.1fs" % (total - failures - unsupported, total, time.time() - t0)
           + ("; %d unsupported (exact input): pass lambda as complex numbers to use "
              "the float path" % unsupported if unsupported else ""))
@@ -300,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     delta(pv)
     lam(pv)
     pv.add_argument("--deep", action="store_true", help="raise bounds to j<=4/6 per suite")
-    pv.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
-                    help="worker processes, at most the CPU count (the default); 1 runs the cells here")
+    pv.add_argument("--jobs", type=_jobs, default=1,
+                    help="accepted for compatibility; the cells run one at a time in this process")
     pv.set_defaults(func=cmd_verify)
 
     pk = sub.add_parser("ktypes", help="K-type multiplicity table")

@@ -181,7 +181,7 @@ def _radical_product(k1, k2):
 
 # The memo of _radical_product, {(k1, k2): (key, f)}.  Only a few dozen
 # radical keys occur in a run, so it holds every pair verify --deep meets;
-# it starts again from empty if it ever fills.  Each process has its own.
+# it starts again from empty if it ever fills.
 _KEY_PRODUCTS = {}
 _KEY_PRODUCTS_KEPT = 4096
 

@@ -27,10 +27,10 @@ compact U_i.  ``dl_p_action`` also takes a root name or the weights
 The generators act through one table per character (``_table``): each
 basis vector gets an integer id on first sight, and dl of a label on a
 vector is a row of (target id, coefficient), built once when it is first
-read (``_dl_row``), so dl of a label is a row lookup.  A table belongs to
-one process (``verify`` runs its cells in this process or in worker
-processes, never in threads), so it is filled without a lock, and only the
-tables of the last ``_TABLES_KEPT`` characters are kept.
+read (``_dl_row``), so dl of a label is a row lookup.  No two threads
+share a table (``verify`` runs its cells one at a time), so it is filled
+without a lock, and only the tables of the last ``_TABLES_KEPT`` characters
+are kept.
 
 A u-row depends on lambda only through the affine factors of its three
 dr(u_nu) terms (``_dr_terms``).  Everything else is its skeleton

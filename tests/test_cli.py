@@ -1,10 +1,7 @@
 import cmath
-import concurrent.futures.process
 import hashlib
 import json
 import os
-import pickle
-import random
 import re
 import subprocess
 import sys
@@ -12,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sp4ps import cli, gkmod, intertwine, sp4
+from sp4ps import gkmod, intertwine, sp4
 from sp4ps.cli import MELLIN_GRID, _suites, main
 from sp4ps.exact import Character
 from sp4ps.gkmod import NONCOMPACT, action_matrix_json
@@ -290,74 +287,35 @@ def test_verify_mixed_delta_checks_casimir_and_bracket(capsys, monkeypatch):
     assert re.search(r"^  bracket +%d cells  pass " % len(suites["bracket"]), out, re.M)
 
 
-def _canonical(x):
-    """x with each random.Random replaced by its state, so that cells compare."""
-    if isinstance(x, random.Random):
-        return "Random", x.getstate()
-    if isinstance(x, (tuple, list)):
-        return type(x).__name__, [_canonical(y) for y in x]
-    return x
-
-
 def test_verify_seed_pins_draws_at_any_jobs(capsys, monkeypatch):
-    # each cell seeds its own generator from (SP4_SEED, cell name): one seed
-    # builds equal cells, a worker receives a cell by pickle, and the run
-    # prints the same at any number of jobs
-    chi = Character((0, 0), (F(9, 2), F(5, 2)))
-    first = _canonical(_suites(5, False, chi))
-    assert first == _canonical(_suites(5, False, chi))
-    assert first != _canonical(_suites(6, False, chi))
-    cells = [cell for _name, suite in _suites(5, False, chi) for cell in suite]
-    assert sum(isinstance(arg, random.Random) for _n, _c, args in cells for arg in args) == 4
-    for cell in cells:
-        back = pickle.loads(pickle.dumps(cell))
-        assert back[1] is cell[1] and _canonical(back) == _canonical(cell)
-    monkeypatch.setenv("SP4_SEED", "5")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)     # two workers on any machine
-    runs = []
-    for jobs in ("1", "2"):
-        rc = main(["verify", "--jobs", jobs])
-        runs.append((rc, re.sub(r"\d+\.\ds", "T", capsys.readouterr().out)))    # timings masked
-    assert runs[0] == runs[1] and runs[0][0] == 0
-    assert "(seed 5)" in runs[0][1] and "FAIL" not in runs[0][1]
+    # each cell seeds its own generator from (SP4_SEED, cell name), so the
+    # inputs the cells draw depend on the seed alone, at any --jobs
+    def draws():
+        drawn = []
 
+        def bracket(x, y):
+            drawn.append(("bracket", repr(x.rows), repr(y.rows)))
+            raise RuntimeError("recorded")     # the pair is all this test needs
 
-def test_verify_caps_jobs_at_the_cpu_count(capsys, monkeypatch):
-    # --jobs above the CPU count is capped at it, and the default is that
-    # count; a stand-in executor records max_workers and starts no process
-    built = []
+        def iwasawa_sl2(simple, t, real=sp4.iwasawa_sl2):
+            if isinstance(t, float):
+                drawn.append(("iwasawa", simple, t))
+            return real(simple, t)
 
-    class Recorder:
-        def __init__(self, max_workers):
-            built.append(max_workers)
+        with monkeypatch.context() as mp:
+            mp.setattr(sp4, "bracket", bracket)
+            mp.setattr(sp4, "iwasawa_sl2", iwasawa_sl2)
+            mp.setattr(gkmod, "omega2_action", lambda v, chi: {})   # not under test
+            mp.setenv("SP4_SEED", "5")
+            assert main(["verify", "--jobs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL(bracket-pair-0: RuntimeError: recorded" in out
+        return sorted(drawn)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells):
-            return [fn(cell) for cell in cells]
-
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "_suites", lambda seed, deep, chi: [
-        ("mellin", [("mellin-z=1.0-m=0", intertwine.mellin_numeric_check, MELLIN_GRID[0])])])
-    for jobs in (["--jobs", "1000"], [], ["--jobs", "2"], ["--jobs", "1"]):
-        assert main(["verify"] + jobs) == 0
-    assert built == [3, 3, 2]
-    assert capsys.readouterr().out.count("1/1 cells passed") == 4
-
-
-def test_verify_dying_worker_is_an_error(capsys, monkeypatch):
-    # a worker that exits in the middle of a cell breaks the pool: verify
-    # prints one error line naming the suite and exits 2, with no traceback
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "_suites", lambda seed, deep, chi: [("exits", [("exit-3", os._exit, (3,))])])
-    assert main(["verify", "--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: suite exits: a worker process died: [^\n]+\n", err)
+    first, second = draws(), draws()
+    assert sum(d[0] == "bracket" for d in first) == 8
+    assert sum(d[0] == "iwasawa" for d in first) == 20
+    assert first == second
 
 
 # SHA-256 of the exact export, so that any change to its bytes is seen:
