@@ -167,13 +167,13 @@ def cmd_verify(args) -> int:
     seed = _seed()
     print("sp4ps verify  (seed %d)" % seed)
     suites = _suites(seed, args.deep, Character(args.delta, args.lam))
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = unsupported = total = 0
     for name, cells in suites:
         if not cells or isinstance(cells, str):
             print("  %-12s skipped (%s)" % (name, cells or "no cells at delta=%d,%d" % args.delta))
             continue
-        t_suite = time.time()
+        t_suite = time.perf_counter()
         total += len(cells)
         results = [r for r in map(_run_cell, cells) if r is not None]
         bad = [text for is_unsup, text in results if not is_unsup]
@@ -186,8 +186,8 @@ def cmd_verify(args) -> int:
         if unsup:
             parts.append("unsupported(%s)" % ",".join(unsup[:3]))
         status = " ".join(parts) or "pass"
-        print("  %-12s %3d cells  %s  (%.1fs)" % (name, len(cells), status, time.time() - t_suite))
-    print("%d/%d cells passed in %.1fs" % (total - failures - unsupported, total, time.time() - t0)
+        print("  %-12s %3d cells  %s  (%.1fs)" % (name, len(cells), status, time.perf_counter() - t_suite))
+    print("%d/%d cells passed in %.1fs" % (total - failures - unsupported, total, time.perf_counter() - t0)
           + ("; %d unsupported (exact input): pass lambda as complex numbers to use "
              "the float path" % unsupported if unsupported else ""))
     return 1 if failures else 2 if unsupported else 0

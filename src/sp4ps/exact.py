@@ -9,15 +9,18 @@ with q rational, r a positive squarefree integer, p an integer and k in
 {0,1} (the sign of q supplies the other half of the 4-cycle of i-powers).
 ``ExactScalar`` holds such a sum as {(r, p, im): q}; it is a ring, and the
 inverse is defined for a single monomial.  A linear combination of such
-sums is built in integer scratch form (``_mul_acc``, on {radical key:
-(numerator, denominator)} dicts) and turned into reduced values once per
-output coefficient (``ExactScalar.settle``); ``__mul__`` and ``_mul_acc``
-share one product rule for radical monomials, ``_radical_product``, which
-they read through a bounded memo keyed by the pair of radical keys
+sums is summed in one of two arithmetics, which ``Character.arith`` picks
+for a character: ``Scratch`` at rational lambda, in integer scratch form
+({radical key: (numerator, denominator)} dicts) with each output
+coefficient turned into a reduced value once, and ``Complex`` at complex
+lambda, on plain ``complex`` numbers.  The module kernel, the S blocks
+and the block products sum through ``lift``, ``mul_acc`` and ``settle``
+of one of them.  ``ExactScalar.__mul__`` and ``Scratch.mul_acc`` share
+one product rule for radical monomials, ``_radical_product``, which they
+read through a bounded memo keyed by the pair of radical keys
 (``_key_product``): a run meets a few dozen keys and multiplies them
-hundreds of thousands of times.
-The complex floating-point fallback is plain ``complex``; an exact constant
-enters a float computation only through ``lift``.
+hundreds of thousands of times.  An exact constant enters a float
+computation only through ``lift`` (or ``Complex.lift``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ def require_finite(z: complex) -> complex:
 def lift(c, like):
     """The exact constant ``c`` in the arithmetic of ``like``: ``c`` itself
     beside an exact value, ``complex`` beside a float one.  This is where
-    every float path meets the exact constants of its formula."""
+    every float path outside a sum of products meets the exact constants of
+    its formula; a sum lifts its operands with ``Scratch.lift`` or
+    ``Complex.lift``."""
     return c.to_complex() if isinstance(like, (float, complex)) else c
 
 
@@ -188,7 +193,7 @@ _KEY_PRODUCTS_KEPT = 4096
 
 def _key_product(k1, k2):
     """``_radical_product(k1, k2)``, memoized in ``_KEY_PRODUCTS``: the one
-    product rule of ``ExactScalar.__mul__`` and ``_mul_acc``."""
+    product rule of ``ExactScalar.__mul__`` and ``Scratch.mul_acc``."""
     kf = _KEY_PRODUCTS.get((k1, k2))
     if kf is None:
         if len(_KEY_PRODUCTS) >= _KEY_PRODUCTS_KEPT:
@@ -207,49 +212,6 @@ def _merge(out: dict, key, q) -> None:
             del out[key]
     else:
         out[key] = q
-
-
-def _mul_acc(acc: dict, index, a, b) -> None:
-    """acc[index] += a * b, with no Fraction and no ExactScalar made.
-
-    ``a`` and ``b`` are in integer scratch form: {radical key: (numerator,
-    denominator)} with nonzero numerators and positive denominators
-    (``ExactScalar.scratch``), or a cell of an accumulator.  ``acc`` maps an
-    index to a cell {radical key: [numerator, denominator]}, unreduced; two
-    denominators combine by their lcm.  A key whose numerator reaches 0 is
-    dropped, and an index whose terms all cancel is deleted, so it goes last
-    if it comes back.  ``ExactScalar.from_scratch`` turns a cell into an
-    ExactScalar.  The product of two radical keys is read from the memo
-    ``_KEY_PRODUCTS`` (``_key_product`` fills it), so ``_radical_product``
-    runs once per pair of keys.
-    """
-    cell = acc.get(index)
-    if cell is None:
-        cell = acc[index] = {}
-    bterms = b.items()
-    products = _KEY_PRODUCTS
-    for k1, (n1, d1) in a.items():
-        for k2, (n2, d2) in bterms:
-            key, f = products.get((k1, k2)) or _key_product(k1, k2)
-            n = n1 * n2 * f
-            d = d1 * d2
-            old = cell.get(key)
-            if old is None:
-                cell[key] = [n, d]
-                continue
-            n0, d0 = old
-            if d0 == d:
-                n += n0
-            else:
-                g = math.gcd(d0, d)
-                n = n0 * (d // g) + n * (d0 // g)
-                d = d0 // g * d
-            if n:
-                old[0], old[1] = n, d
-            else:
-                del cell[key]
-    if not cell:
-        del acc[index]
 
 
 class ExactScalar:
@@ -358,7 +320,7 @@ class ExactScalar:
 
     def scratch(self) -> dict:
         """The terms in integer scratch form, {radical key: (numerator,
-        denominator)}: the operand form of ``_mul_acc``."""
+        denominator)}: the operand form of ``Scratch.mul_acc``."""
         return {k: (q.numerator, q.denominator) for k, q in self.terms.items()}
 
     @staticmethod
@@ -366,17 +328,6 @@ class ExactScalar:
         """The ExactScalar of a scratch form or cell with nonzero
         numerators: one reduced Fraction per term, in its key order."""
         return ExactScalar._wrap({k: Fraction(n, d) for k, (n, d) in cell.items()})
-
-    @staticmethod
-    def mul_acc(acc: dict, index, a: "ExactScalar", b: "ExactScalar") -> None:
-        """acc[index] += a * b in integer scratch form (``_mul_acc``)."""
-        _mul_acc(acc, index, a.scratch(), b.scratch())
-
-    @staticmethod
-    def settle(acc: dict) -> dict:
-        """{index: ExactScalar} from ``_mul_acc`` scratch, in its index
-        order: one reduced Fraction per term."""
-        return {index: ExactScalar.from_scratch(cell) for index, cell in acc.items()}
 
     def inverse(self) -> "ExactScalar":
         """1/x of a single term; a sum of several terms has no inverse here."""
@@ -470,6 +421,116 @@ def parse_scalar(s: str) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
+# the two summation arithmetics
+# ---------------------------------------------------------------------------
+
+class Scratch:
+    """The summation arithmetic of a rational character.  An operand is in
+    integer scratch form ({radical key: (numerator, denominator)},
+    ``ExactScalar.scratch``), and a sum keeps one unreduced cell per output
+    index, settled once to an ExactScalar."""
+
+    one = ExactScalar(1).scratch()
+    zero = {}           # read only: the cell of an index with no terms
+    form = 0            # the scratch member of a (scratch, complex) pair
+
+    @staticmethod
+    def lift(c) -> dict:
+        return ExactScalar.of(c).scratch()
+
+    @staticmethod
+    def mul_acc(acc: dict, index, a: dict, b: dict) -> None:
+        """acc[index] += a * b, with no Fraction and no ExactScalar made.
+
+        ``a`` and ``b`` are in integer scratch form with nonzero numerators
+        and positive denominators, or are cells of an accumulator.  ``acc``
+        maps an index to a cell {radical key: [numerator, denominator]},
+        unreduced; two denominators combine by their lcm.  A key whose
+        numerator reaches 0 is dropped, and an index whose terms all cancel
+        is deleted, so it goes last if it comes back.  The product of two
+        radical keys is read from the memo ``_KEY_PRODUCTS`` (``_key_product``
+        fills it), so ``_radical_product`` runs once per pair of keys.
+        """
+        cell = acc.get(index)
+        if cell is None:
+            cell = acc[index] = {}
+        bterms = b.items()
+        products = _KEY_PRODUCTS
+        for k1, (n1, d1) in a.items():
+            for k2, (n2, d2) in bterms:
+                key, f = products.get((k1, k2)) or _key_product(k1, k2)
+                n = n1 * n2 * f
+                d = d1 * d2
+                old = cell.get(key)
+                if old is None:
+                    cell[key] = [n, d]
+                    continue
+                n0, d0 = old
+                if d0 == d:
+                    n += n0
+                else:
+                    g = math.gcd(d0, d)
+                    n = n0 * (d // g) + n * (d0 // g)
+                    d = d0 // g * d
+                if n:
+                    old[0], old[1] = n, d
+                else:
+                    del cell[key]
+        if not cell:
+            del acc[index]
+
+    @staticmethod
+    def product(a: dict, b: dict) -> dict:
+        acc = {}
+        Scratch.mul_acc(acc, 0, a, b)
+        return acc.get(0, {})
+
+    @staticmethod
+    def freeze(cell: dict) -> dict:
+        """A cell in lowest terms, to be kept as an operand."""
+        out = {}
+        for k, (n, d) in cell.items():
+            g = math.gcd(n, d)
+            out[k] = (n // g, d // g)
+        return out
+
+    settle = staticmethod(ExactScalar.from_scratch)
+
+
+class Complex:
+    """The summation arithmetic of a complex character: an operand is a
+    complex number.  A sum starts at 0j and adds its products in place, in
+    order, so a result has the same bits on every run; an index whose sum
+    is 0 is deleted, so it goes last if it comes back."""
+
+    one = 1 + 0j
+    zero = 0j
+    form = 1            # the complex member of a (scratch, complex) pair
+
+    @staticmethod
+    def lift(c):
+        return c.to_complex() if c.__class__ is ExactScalar else c
+
+    @staticmethod
+    def mul_acc(acc: dict, index, a: complex, b: complex) -> None:
+        s = acc.get(index, 0j) + a * b
+        if s:
+            acc[index] = s
+        else:
+            acc.pop(index, None)
+
+    @staticmethod
+    def product(a: complex, b: complex) -> complex:
+        return a * b
+
+    @staticmethod
+    def freeze(c: complex) -> complex:
+        return c
+
+    settle = freeze
+
+
+# ---------------------------------------------------------------------------
 # induction datum
 # ---------------------------------------------------------------------------
 
@@ -482,6 +543,7 @@ class Character:
     two complex numbers otherwise, and ``exact`` says which.  ``exact``
     takes part in equality and hashing, so an exact and a float character
     never share a cache slot even where their values compare equal.
+    ``arith`` is the summation arithmetic that goes with it.
     """
 
     delta: tuple[int, int]
@@ -501,6 +563,11 @@ class Character:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "exact", exact)
+
+    @property
+    def arith(self):
+        """``Scratch`` at rational lambda, ``Complex`` at complex lambda."""
+        return Scratch if self.exact else Complex
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ the radical basis sqrt(r)*pi^(p/2)*i^k, at rational lambda and complex
 numbers at complex lambda; ``exact.Character`` fixes which, and this
 module reads lambda only as the character stores it.  Both come from one
 formula: its exact factors (Clebsch-Gordan values, i/sqrt2, ladder square
-roots) become complex only where they meet a complex lambda (``_Float``,
-and ``exact.lift`` in ``dr_p_action``).
+roots) become complex only where they meet a complex lambda
+(``exact.Complex.lift``, and ``exact.lift`` in ``dr_p_action``).
 
 The ten generators have one name inside this module, their catalog label:
 ("u", m_beta, n_beta) for the noncompact u_beta and ("U", i) for the
@@ -53,16 +53,16 @@ built at import.
 
 Linear combinations are dicts {basis index: coefficient}.  dl of an
 element, of the Casimir and of a bracket are summed over ids by one
-kernel (``_accumulate``) in the character's arithmetic.  At rational
-lambda (``_Scratch``) a coefficient is in the integer scratch form of
-``exact._mul_acc``, rows included, so each product is added into its
-output id without making a Fraction or an ExactScalar.  At complex lambda
-(``_Float``) each product is added in place, term by term in the same
-order, so a float result has the same bits on every run.  Each output
-coefficient is settled once, back to a basis vector and an ExactScalar
-or complex.  An index whose terms all cancel leaves the sum and goes last
-if it comes back, so the key order is the one of adding term by term.
-``lc_add`` and ``lc_scale`` return new dicts.
+kernel (``_accumulate``) in the character's arithmetic,
+``Character.arith`` (``exact.Scratch`` or ``exact.Complex``), rows
+included.  At rational lambda each product is added into its output id in
+integer scratch form, without making a Fraction or an ExactScalar; at
+complex lambda it is added in place, term by term in the same order, so a
+float result has the same bits on every run.  Each output coefficient is
+settled once, back to a basis vector and an ExactScalar or complex.  An
+index whose terms all cancel leaves the sum and goes last if it comes
+back, so the key order is the one of adding term by term.  ``lc_add`` and
+``lc_scale`` return new dicts.
 
 The Casimir is applied in collected form: its Chevalley words, expanded
 once per process in the catalog basis {u_beta, U_i} with letter order
@@ -73,12 +73,11 @@ one kernel pass per inner label, not the eight words letter by letter.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, _merge, _mul_acc, _square_split, half_range, lift
+from .exact import Character, ExactScalar, HalfInt, Scratch, _merge, _square_split, half_range, lift
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
@@ -353,7 +352,7 @@ def _skeleton(lab: tuple, tj: int, tm1: int, tm2: int) -> tuple:
             tjt = tj + 2 * j0
             if tjt < 0 or (tj == 0 and j0 != 1) or abs(tm1t) > tjt or abs(tm2t) > tjt:
                 continue
-            cg = _Scratch.product(_cg(tj, tm1, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
+            cg = Scratch.product(_cg(tj, tm1, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
             if cg:
                 out.append((t, tjt, tm1t, tm2t, _cg_value(tuple((k, tuple(nd)) for k, nd in cg.items()))))
     return tuple(out)
@@ -373,76 +372,6 @@ def _cg_value(items: tuple) -> tuple:
 # generator tables per character
 # ---------------------------------------------------------------------------
 
-class _Scratch:
-    """The arithmetic of a rational character: a coefficient is in integer
-    scratch form ({radical key: (numerator, denominator)}, ``exact._mul_acc``),
-    and a sum keeps one unreduced cell per output index."""
-
-    one = _ONE.scratch()
-    form = 0            # the scratch form of a skeleton's CG product
-    mul_acc = staticmethod(_mul_acc)
-
-    @staticmethod
-    def lift(c) -> dict:
-        return ExactScalar.of(c).scratch()
-
-    @staticmethod
-    def product(a: dict, b: dict) -> dict:
-        acc = {}
-        _mul_acc(acc, 0, a, b)
-        return acc[0] if acc else {}
-
-    @staticmethod
-    def dl_coef(factor: ExactScalar, affine) -> dict:
-        """-factor * affine, for a Fraction (or int) affine factor."""
-        if not affine:
-            return {}
-        an, ad = affine.numerator, affine.denominator
-        return {k: (-q.numerator * an, q.denominator * ad) for k, q in factor.terms.items()}
-
-    @staticmethod
-    def freeze(cell: dict) -> dict:
-        """A row coefficient: the cell in lowest terms."""
-        out = {}
-        for k, (n, d) in cell.items():
-            g = math.gcd(n, d)
-            out[k] = (n // g, d // g)
-        return out
-
-    settle = staticmethod(ExactScalar.from_scratch)
-
-
-class _Float:
-    """The arithmetic of a complex character: a coefficient is a complex
-    number, and each product is added in place, term by term, so a result
-    has the same bits on every run."""
-
-    one = _ONE.to_complex()
-    form = 1            # the complex form of a skeleton's CG product
-
-    @staticmethod
-    def lift(c) -> complex:
-        return c.to_complex() if c.__class__ is ExactScalar else c
-
-    @staticmethod
-    def product(a: complex, b: complex) -> complex:
-        return a * b
-
-    @staticmethod
-    def mul_acc(acc: dict, index, a: complex, b: complex) -> None:
-        _merge(acc, index, a * b)
-
-    @staticmethod
-    def dl_coef(factor: ExactScalar, affine: complex) -> complex:
-        return -factor.to_complex() * affine
-
-    @staticmethod
-    def freeze(c: complex) -> complex:
-        return c
-
-    settle = freeze
-
-
 _LABELS = tuple(("u",) + w for w in NONCOMPACT.values()) + tuple(("U", i) for i in range(4))
 
 
@@ -458,7 +387,7 @@ class _Table:
 
     def __init__(self, chi: Character):
         self.chi = chi
-        self.arith = _Scratch if chi.exact else _Float
+        self.arith = chi.arith
         self.ids = {}
         self.vecs = []
         self.rows = {lab: [] for lab in _LABELS}
@@ -514,7 +443,7 @@ def _dl_row(table: _Table, lab: tuple, v: WignerIndex) -> tuple:
     key = (lab[2], tj, tn, tm2)
     coefs = table.coefs.get(key)
     if coefs is None:
-        coefs = table.coefs[key] = [ar.dl_coef(factor, affine)
+        coefs = table.coefs[key] = [ar.product(ar.lift(-factor), ar.lift(affine))
                                     for factor, affine in _dr_terms(*key, table.chi.lam)]
     tnt = tn + 2 * lab[2]
     form, mul_acc, key_id = ar.form, ar.mul_acc, table.key_id
@@ -592,8 +521,8 @@ def gmat_to_element(x: GMat) -> dict:
     for name, c in coords.items():
         c = _cyc8_scratch(c)
         for lab, ce in _CATALOG_SCRATCH[name]:
-            _mul_acc(acc, lab, c, ce)
-    return ExactScalar.settle(acc)
+            Scratch.mul_acc(acc, lab, c, ce)
+    return {lab: Scratch.settle(c) for lab, c in acc.items()}
 
 
 def _as_element(x) -> dict:
@@ -634,21 +563,21 @@ def _omega2_form(arith) -> tuple:
     coefficient), ...) an element in ``arith``'s arithmetic.  Every word is
     expanded with its letter order kept and equal monomials are summed
     exactly; no relation of g is used.  Built once per arithmetic."""
-    mul_acc = ExactScalar.mul_acc
+    mul_acc, lift = Scratch.mul_acc, Scratch.lift
     form, linear = {}, {}
     for coef, word in omega2_words():      # words of one or two letters
         coef = ExactScalar.of(coef)
         inner = _CHEVALLEY_TO_CATALOG[word[-1]]
         if len(word) == 1:
             for lab, c in inner.items():
-                mul_acc(linear, lab, coef, c)
+                mul_acc(linear, lab, lift(coef), lift(c))
             continue
         outer = _CHEVALLEY_TO_CATALOG[word[0]]
         for lab, c in inner.items():
-            acc, c = form.setdefault(lab, {}), coef * c
+            acc, c = form.setdefault(lab, {}), lift(coef * c)
             for olab, oc in outer.items():
-                mul_acc(acc, olab, c, oc)
-    return tuple((lab, tuple((olab, arith.lift(ExactScalar.from_scratch(c))) for olab, c in acc.items()))
+                mul_acc(acc, olab, c, lift(oc))
+    return tuple((lab, tuple((olab, arith.lift(Scratch.settle(c))) for olab, c in acc.items()))
                  for lab, acc in list(form.items()) + [(None, linear)])
 
 

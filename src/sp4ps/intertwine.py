@@ -21,8 +21,9 @@ genfun route runs without the product and genfun_check compares the two
 entry by entry.  Both routes compute a block as a whole: a factor that
 depends on one index only (a row, a column, an m4 or a p) is built once per
 block.  The lambda-free S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built
-once per spin (_s_terms), and exact S entries and block products are summed
-in the integer scratch form of ``exact._mul_acc``, each entry settled once.
+once per spin (_s_terms), and S entries and block products are summed in
+the arithmetic of their entries, ``exact.Scratch`` (integer scratch form,
+each entry settled once) or ``exact.Complex``, by one loop each.
 
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput, _mul_acc,
+from .exact import (Character, Complex, ExactScalar, HalfInt, PoleError, Scratch, UnsupportedExactInput,
                     gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite)
 from .gkmod import m_set
 from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
@@ -99,35 +100,27 @@ class BlockMatrix:
         return self.entries[self.row_index.index(HalfInt.of(mr))][self.col_index.index(HalfInt.of(mc))]
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
-        """The block product.  Exact entries are summed in integer scratch
-        form (``exact._mul_acc``) and settled once; complex ones add their
-        terms in column order."""
+        """The block product, summed in the arithmetic of the entries
+        (``exact.Scratch`` for ExactScalars, else ``exact.Complex``): each
+        operand lifted once, the terms of an entry added in column order,
+        and each entry settled once."""
         if self.col_index != other.row_index:
             raise ValueError("index mismatch in block product")
+        exact = self.entries and self.entries[0] and self.entries[0][0].__class__ is ExactScalar
+        ar = Scratch if exact else Complex
+        lift, mul_acc, settle, zero = ar.lift, ar.mul_acc, ar.settle, ar.zero
         ks = range(len(other.col_index))
+        bs = [[lift(b) for b in brow] for brow in other.entries]
         rows = []
-        if self.entries and self.entries[0] and self.entries[0][0].__class__ is ExactScalar:
-            bs = [[b.scratch() for b in brow] for brow in other.entries]
-            for row in self.entries:
-                acc: dict = {}
-                for a, brow in zip(row, bs):
-                    if a:
-                        a = a.scratch()
-                        for k, b in zip(ks, brow):
-                            if b:
-                                _mul_acc(acc, k, a, b)
-                rows.append([ExactScalar.from_scratch(acc.get(k, {})) for k in ks])
-        else:
-            for row in self.entries:
-                out = []
-                for k in ks:
-                    acc = _zero_like(row[0])
-                    for a, brow in zip(row, other.entries):
-                        b = brow[k]
-                        if a and b:
-                            acc = acc + a * b
-                    out.append(acc)
-                rows.append(out)
+        for row in self.entries:
+            acc: dict = {}
+            for a, brow in zip(row, bs):
+                if a:
+                    a = lift(a)
+                    for k, b in zip(ks, brow):
+                        if b:
+                            mul_acc(acc, k, a, b)
+            rows.append([settle(acc.get(k, zero)) for k in ks])
         return BlockMatrix(self.ktype, list(self.row_index), list(other.col_index), rows)
 
     def is_identity(self) -> bool:
@@ -156,11 +149,11 @@ def _gamma_ratio(num, den, pole_msg: str):
     Gammas are ``gamma_half`` at exact arguments and scipy's gamma and
     rgamma at float ones.
     """
-    floaty = any(isinstance(a, (float, complex)) for a, _ in num + den)
+    exact = not any(isinstance(a, (float, complex)) for a, _ in num + den)
     poles, order, regular = ExactScalar(1), 0, ([], [])
     for args, sign, rest in ((num, 1, regular[0]), (den, -1, regular[1])):
         for a, slope in args:
-            a = complex(a) if floaty else HalfInt.of(a)
+            a = HalfInt.of(a) if exact else complex(a)
             p = _pole_index(a)
             if p is None:
                 rest.append(a)
@@ -171,8 +164,8 @@ def _gamma_ratio(num, den, pole_msg: str):
     if order > 0:
         raise PoleError(pole_msg)
     if order < 0:
-        return 0j if floaty else ExactScalar(0)
-    if not floaty:
+        return ExactScalar(0) if exact else 0j
+    if exact:
         val = poles
         for a in regular[0]:
             val = val * gamma_half(a)
@@ -278,8 +271,9 @@ def mn_matrices(j) -> tuple[BlockMatrix, BlockMatrix]:
 def _s_terms(j: HalfInt) -> list:
     """The lambda-free terms of _s_block at spin j, built once per spin:
     ``terms[a][k]`` is, for the a-th m3 and the k-th m2 of -j..j, the tuple
-    of (m4, scratch form, complex value) of each nonzero
-    i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order."""
+    of (m4, (scratch form, complex value)) of each nonzero
+    i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order; an arithmetic reads its
+    member of the pair at its ``form``."""
     M, N = mn_matrices(j)
     m4s = M.col_index
     terms = []
@@ -291,7 +285,7 @@ def _s_terms(j: HalfInt) -> list:
                 c = mrow[i] * N.entries[i][k]
                 if c:
                     p = ExactScalar.i_power(-m4.twice) * c
-                    cell.append((m4, p.scratch(), p.to_complex()))
+                    cell.append((m4, (p.scratch(), p.to_complex())))
             row.append(tuple(cell))
         terms.append(row)
     return terms
@@ -327,40 +321,31 @@ def _s_block(j, rows, cols, z, factor) -> list:
     and m2 in cols.  The lambda-free products i^{-2 m4} M N come from
     _s_terms, built once per spin.  factor(z, m4) is evaluated once, for the
     m4 that a nonzero M N term first needs, so it raises only where one
-    entry would.  An exact entry is summed in integer scratch form
-    (``exact._mul_acc``) and settled once; a complex one adds its terms in
-    m4 order."""
+    entry would.  An entry is summed in the arithmetic of z
+    (``exact.Scratch`` at exact z, else ``exact.Complex``), its terms added
+    in m4 order, and settled once."""
     j = HalfInt.of(j)
     ms = half_range(-j, j)
     terms = _s_terms(j)
     ks = [ms.index(HalfInt.of(m2)) for m2 in cols]
-    floaty = isinstance(z, (float, complex))
+    ar = Complex if isinstance(z, (float, complex)) else Scratch
+    lift, mul_acc, settle, zero, form = ar.lift, ar.mul_acc, ar.settle, ar.zero, ar.form
     fac: dict = {}
 
     def factor_at(m4):
         f = fac.get(m4)
         if f is None:
-            f = factor(z, m4)
-            f = fac[m4] = f if floaty else f.scratch()
+            f = fac[m4] = lift(factor(z, m4))
         return f
 
     out = []
     for m3 in rows:
         trow = terms[ms.index(HalfInt.of(m3))]
-        if floaty:
-            row = []
-            for k in ks:
-                total = 0j
-                for m4, _p, pc in trow[k]:
-                    total = total + pc * factor_at(m4)
-                row.append(total)
-        else:
-            acc: dict = {}
-            for col, k in enumerate(ks):
-                for m4, p, _pc in trow[k]:
-                    _mul_acc(acc, col, p, factor_at(m4))
-            row = [ExactScalar.from_scratch(acc.get(col, {})) for col in range(len(ks))]
-        out.append(row)
+        acc: dict = {}
+        for col, k in enumerate(ks):
+            for m4, p in trow[k]:
+                mul_acc(acc, col, p[form], factor_at(m4))
+        out.append([settle(acc.get(col, zero)) for col in range(len(ks))])
     return out
 
 
@@ -535,7 +520,9 @@ def stage_operator(stage: Stage, ktype) -> BlockMatrix:
         if stage.reflection == "a1":
             ent = _s_block(j, rows, cols, z, q_ratio)
         else:
-            ent = [[t_norm(n, mr, z) if mr == mc else _zero_like(z) for mc in cols] for mr in rows]
+            ar = stage.source.arith
+            zero = ar.settle(ar.zero)
+            ent = [[t_norm(n, mr, z) if mr == mc else zero for mc in cols] for mr in rows]
         if not stage.source.exact:
             ent = [[require_finite(e) for e in row] for row in ent]
     return BlockMatrix((j, n), rows, cols, ent)
@@ -546,10 +533,6 @@ def simple_operator(kind: str, ktype, chi: Character) -> BlockMatrix:
     if kind not in KINDS[:4]:
         raise ValueError("simple_operator kind must be one of A1..A4")
     return stage_operator(word_stages(LONG_WORD, chi)[KINDS.index(kind)], ktype)
-
-
-def _zero_like(x):
-    return lift(ExactScalar(0), x)
 
 
 def word_product(word, ktype, chi: Character) -> BlockMatrix:

@@ -389,6 +389,34 @@ def test_float_export_bytes_pinned(tmp_path):
     assert got == FLOAT_EXPORT_DIGESTS
 
 
+# SHA-256 of the float-path export at a real-valued complex lambda,
+# (4.5+0i,2.5+0i), j <= 2, |n| <= 2: many entries have a zero real or
+# imaginary part there, so a change to the sign of a zero part is seen.
+REAL_FLOAT_EXPORT_DIGESTS = {
+    "0,0/A1.csv": "3ed84a29be649eaa2ebb1d5d0a583ac68b6903a9da280c94988221358ccec383",
+    "0,0/A2.csv": "90dba85a1f380113eed3669def551284b2ccf49c9551f3f4f5927b59a375f282",
+    "0,0/A3.csv": "ca045028e164044d3b2057ea80b55d8f6e2677101fa0f37074e212659947d872",
+    "0,0/A4.csv": "2f5fd6919948ae7213c4b3633e6be76fd7f6a8f9ad261b04a04a872baf72b299",
+    "0,0/LONG.csv": "45b5eadf7a2c67f6b0dec0076d1348ecca0915d31201a5fdf19093279ef2be1e",
+    "1,1/A1.csv": "6f6a90d4287233a777dc4edfaa5edb8a3ea91d71f58ceb33b6d7685c91909180",
+    "1,1/A2.csv": "ac1bb1d63a5361a88d52721e853149532098d4edae0bf078b27f2b60182003c0",
+    "1,1/A3.csv": "033faeea848c2ec321d45a8f7764e7a0dd85c34fe9ca0b0db124fe5d9515ed1a",
+    "1,1/A4.csv": "7b6125e922e768c1b17008de593140d9334c3f700f7b9d23947c7d95f14c5a13",
+    "1,1/LONG.csv": "2b23dee30b6ad92b451c7d0065ddef8aac578cd32ceda704082f0aae368d3152",
+}
+
+
+def test_float_export_bytes_pinned_at_real_lambda(tmp_path):
+    got = {}
+    for delta in ("0,0", "1,1"):
+        for kind in ("A1", "A2", "A3", "A4", "LONG"):
+            out = str(tmp_path / (delta + kind))
+            assert main(["compute", "--kind", kind, "--delta", delta, "--lambda", "4.5+0i,2.5+0i",
+                         "--jmax", "2", "--nmax", "2", "--out", out, "--format", "csv"]) == 0
+            got["%s/%s.csv" % (delta, kind)] = _dir_digest(out)
+    assert got == REAL_FLOAT_EXPORT_DIGESTS
+
+
 # Runs main in a fresh interpreter: neither numpy nor multiprocessing may be
 # imported yet, and the BLAS thread variables main sets are printed after it
 # returns.

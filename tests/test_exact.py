@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError,
+from sp4ps.exact import (Character, Complex, ExactScalar, HalfInt, PoleError, Scratch,
                          binomial, gamma_half, half_range,
-                         hyp_terminating, hyp_terms, parse_scalar, pochhammer)
+                         hyp_terminating, hyp_terms, lift, parse_scalar, pochhammer)
+from sp4ps.gkmod import lc_add
 from sp4ps.intertwine import _jet
 
 
@@ -263,3 +264,101 @@ def test_character():
     for lam in ((float("nan"), 1), (1, complex("inf"))):
         with pytest.raises(ValueError, match="finite"):
             Character((0, 0), lam)
+
+
+# ---------------------------------------------------------------------------
+# the summation arithmetics
+# ---------------------------------------------------------------------------
+
+def test_character_arith_follows_exact():
+    for lam in ((F(5, 2), F(3, 2)), (2, F(-1, 3)), (2.5 + 0j, 1.5 + 0j), (F(1, 2), 0.5j), (1.0, 2)):
+        chi = Character((0, 1), lam)
+        assert chi.arith is (Scratch if chi.exact else Complex)
+
+
+@pytest.mark.parametrize("chi", [Character((0, 0), (F(5, 2), F(3, 2))), Character((0, 0), (2.5 + 0j, 1.5 + 0j))],
+                         ids=["exact", "complex"])
+def test_mul_acc_cancel_and_reappear_keeps_order(chi):
+    # the arithmetic the module kernel sums with at chi
+    arith = chi.arith
+    one, two = ExactScalar(1), ExactScalar(2)
+    r2 = ExactScalar(F(1, 3), 2, 0, True)                 # i sqrt2 / 3
+    mixed = ExactScalar(-1) + ExactScalar(F(1, 2), 3)     # -1 + sqrt3 / 2
+    steps = [("a", one, one), ("b", two, r2), ("c", one, r2),
+             ("a", -one, one),        # a cancels: deleted
+             ("d", r2, r2),
+             ("c", one, mixed),       # the old term of c survives the new ones
+             ("a", two, r2),          # a comes back: last
+             ("b", -two, r2)]         # b cancels for good
+    acc, ref = {}, {}
+    for idx, x, y in steps:
+        arith.mul_acc(acc, idx, arith.lift(x), arith.lift(y))
+        x, y = lift(x, chi.lam[0]), lift(y, chi.lam[0])
+        ref = lc_add(ref, {idx: x * y})
+        assert list(acc) == list(ref)
+    got = {idx: arith.settle(c) for idx, c in acc.items()}
+    assert list(got.items()) == list(ref.items()) and list(got) == ["c", "d", "a"]
+
+
+def test_mul_acc_denominators_and_settle():
+    lift_, mul_acc = Scratch.lift, Scratch.mul_acc
+    acc = {}
+    mul_acc(acc, 0, lift_(ExactScalar(F(1, 6))), lift_(ExactScalar(1)))
+    mul_acc(acc, 0, lift_(ExactScalar(F(1, 4))), lift_(ExactScalar(1)))
+    assert acc == {0: {(1, 0, False): [5, 12]}}            # lcm, not 24
+    mul_acc(acc, 0, lift_(ExactScalar(F(1, 2), 2)), lift_(ExactScalar(F(1, 2), 6)))
+    # sqrt2 sqrt6 = 2 sqrt3: the product rule's integer factor
+    assert acc[0][(3, 0, False)] == [2, 4]
+    got = Scratch.settle(acc[0])
+    assert got.terms == {(1, 0, False): F(5, 12), (3, 0, False): F(1, 2)}
+    assert got.terms[(3, 0, False)].numerator == 1
+    a = ExactScalar(F(2, 3), 6, 1, True) + ExactScalar(F(-5, 7), 10)
+    b = ExactScalar(F(3, 4), 15, -1, True) + ExactScalar(F(1, 9))
+    acc = {}
+    mul_acc(acc, "x", lift_(a), lift_(b))
+    assert {idx: Scratch.settle(c) for idx, c in acc.items()} == {"x": a * b}
+    # within one product the rational term of c cancels first, then sqrt3
+    # arrives: c kept its place
+    one = ExactScalar(1)
+    acc = {}
+    mul_acc(acc, "c", lift_(one), lift_(one))
+    mul_acc(acc, "e", lift_(one), lift_(one))
+    mul_acc(acc, "c", lift_(one), lift_(ExactScalar(-1) + ExactScalar(1, 3)))
+    assert list(acc) == ["c", "e"] and acc["c"] == {(3, 0, False): [1, 1]}
+
+
+def test_scratch_and_complex_sums_agree(rng):
+    # the same products summed exactly and in complex numbers: within 1e-15
+    # of the sum of the products' absolute values
+    def draw():
+        return ExactScalar(F(rng.randrange(-9, 10) or 1, rng.randrange(1, 7)),
+                           rng.choice([1, 2, 3, 5, 6]), rng.randrange(-1, 2), rng.random() < 0.5)
+
+    terms = [(rng.randrange(5), draw() + draw(), draw()) for _ in range(200)]
+    sums = {}
+    for ar in (Scratch, Complex):
+        acc = sums[ar] = {}
+        for idx, a, b in terms:
+            ar.mul_acc(acc, idx, ar.lift(a), ar.lift(b))
+    for idx in range(5):
+        scale = sum(abs(a.to_complex() * b.to_complex()) for i, a, b in terms if i == idx)
+        exact = Scratch.settle(sums[Scratch].get(idx, Scratch.zero)).to_complex()
+        assert abs(exact - sums[Complex].get(idx, Complex.zero)) <= 1e-15 * scale
+
+
+def test_complex_sum_starts_at_zero():
+    # a first product with a -0.0 part is added to 0j, not stored bare, so
+    # the sum has the bits of 0j + p1 + p2 + ... in order
+    a, b = complex(2.0, -0.0), complex(3.0, -0.0)
+    first = a * b
+    assert math.copysign(1.0, first.imag) == -1.0
+    later = (complex(1.5, 0.25), complex(-0.5, 4.0))
+    acc = {}
+    Complex.mul_acc(acc, "x", a, b)
+    Complex.mul_acc(acc, "y", a, b)
+    Complex.mul_acc(acc, "y", *later)
+    want_x = 0j + first
+    want_y = 0j + first + later[0] * later[1]
+    assert [(math.copysign(1.0, v.real), math.copysign(1.0, v.imag), v) for v in acc.values()] == \
+        [(math.copysign(1.0, w.real), math.copysign(1.0, w.imag), w) for w in (want_x, want_y)]
+    assert math.copysign(1.0, acc["x"].imag) == 1.0

@@ -405,55 +405,6 @@ def test_exact_kernel_matches_reference(chi, xc, yc, pick):
     _assert_matches_reference(omega2_action(v, chi), _ref_omega2(v, chi), chi)
 
 
-@pytest.mark.parametrize("chi", [CHI, Character((0, 0), (2.5 + 0j, 1.5 + 0j))], ids=["exact", "complex"])
-def test_mul_acc_cancel_and_reappear_keeps_order(chi):
-    # the arithmetic the kernel sums with at chi
-    arith = gkmod._table(chi).arith
-    one, two = ExactScalar(1), ExactScalar(2)
-    r2 = ExactScalar(F(1, 3), 2, 0, True)                 # i sqrt2 / 3
-    mixed = ExactScalar(-1) + ExactScalar(F(1, 2), 3)     # -1 + sqrt3 / 2
-    steps = [("a", one, one), ("b", two, r2), ("c", one, r2),
-             ("a", -one, one),        # a cancels: deleted
-             ("d", r2, r2),
-             ("c", one, mixed),       # the old term of c survives the new ones
-             ("a", two, r2),          # a comes back: last
-             ("b", -two, r2)]         # b cancels for good
-    acc, ref = {}, {}
-    for idx, x, y in steps:
-        arith.mul_acc(acc, idx, arith.lift(x), arith.lift(y))
-        x, y = lift(x, chi.lam[0]), lift(y, chi.lam[0])
-        ref = lc_add(ref, {idx: x * y})
-        assert list(acc) == list(ref)
-    got = {idx: arith.settle(c) for idx, c in acc.items()}
-    assert list(got.items()) == list(ref.items()) and list(got) == ["c", "d", "a"]
-
-
-def test_mul_acc_denominators_and_settle():
-    acc = {}
-    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 6)), ExactScalar(1))
-    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 4)), ExactScalar(1))
-    assert acc == {0: {(1, 0, False): [5, 12]}}            # lcm, not 24
-    ExactScalar.mul_acc(acc, 0, ExactScalar(F(1, 2), 2), ExactScalar(F(1, 2), 6))
-    # sqrt2 sqrt6 = 2 sqrt3: the product rule's integer factor
-    assert acc[0][(3, 0, False)] == [2, 4]
-    got = ExactScalar.settle(acc)[0]
-    assert got.terms == {(1, 0, False): F(5, 12), (3, 0, False): F(1, 2)}
-    assert got.terms[(3, 0, False)].numerator == 1
-    a = ExactScalar(F(2, 3), 6, 1, True) + ExactScalar(F(-5, 7), 10)
-    b = ExactScalar(F(3, 4), 15, -1, True) + ExactScalar(F(1, 9))
-    acc = {}
-    ExactScalar.mul_acc(acc, "x", a, b)
-    assert ExactScalar.settle(acc) == {"x": a * b}
-    # within one product the rational term of c cancels first, then sqrt3
-    # arrives: c kept its place
-    one = ExactScalar(1)
-    acc = {}
-    ExactScalar.mul_acc(acc, "c", one, one)
-    ExactScalar.mul_acc(acc, "e", one, one)
-    ExactScalar.mul_acc(acc, "c", one, ExactScalar(-1) + ExactScalar(1, 3))
-    assert list(acc) == ["c", "e"] and acc["c"] == {(3, 0, False): [1, 1]}
-
-
 def test_returned_actions_are_copies():
     v = WignerIndex.of(1, 1, 0, 1)
     for call in (lambda: dl_p_action("b2", v, CHI), lambda: dl_k_action("U1", v),
