@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 
 class PoleError(ArithmeticError):
@@ -601,6 +602,12 @@ def _one_like(a):
     return Fraction(1) if isinstance(a, (int, Fraction)) else a * 0 + 1
 
 
+# keyed by the argument as given (typed; verify --deep reads 33): the
+# operator layer's memos share its values
+_GAMMAS_KEPT = 1024
+
+
+@lru_cache(maxsize=_GAMMAS_KEPT, typed=True)
 def gamma_half(a) -> ExactScalar:
     """Gamma at a half-integer argument, as rational * sqrt(pi)^p.
 

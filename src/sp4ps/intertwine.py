@@ -20,10 +20,18 @@ product over a stated range (see genfun_vs_product), not derived, so the
 genfun route runs without the product and genfun_check compares the two
 entry by entry.  Both routes compute a block as a whole: a factor that
 depends on one index only (a row, a column, an m4 or a p) is built once per
-block.  The lambda-free S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built
-once per spin (_s_terms), and S entries and block products are summed in
-the arithmetic of their entries, ``exact.Scratch`` (integer scratch form,
-each entry settled once) or ``exact.Complex``, by one loop each.
+block.  A factor that depends on lambda and the spin but not on n is built
+once per character and kept in a bounded memo: q_ratio(z, m) (the S blocks
+of A1 and A3, t_norm of A2 and A4, the generating function's A2 pair and A4
+column), and the generating function's m1-only and m2-only t-series
+coefficients, eps jets and Gamma values (_genfun_rows, _genfun_cols).
+Their keys keep an exact argument and a complex one of equal value apart,
+and gamma_half's own memo lets them share its values.  The lambda-free S
+terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
+with one (scratch, complex) pair per distinct value (_s_value), and S
+entries and block products are summed in the arithmetic of their entries,
+``exact.Scratch`` (integer scratch form, each entry settled once) or
+``exact.Complex``, by one loop each.
 
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
@@ -211,6 +219,14 @@ def q_factor(z, nu):
     return lift(ExactScalar(1, 1, 2), z) * 2 ** (2 - 2 * z) * gam
 
 
+# The lambda-only factors (q_ratio, _genfun_rows, _genfun_cols) are kept for
+# the last _FACTORS_KEPT arguments of each; verify --deep reads 202 q_ratio
+# and 16 of each genfun list.  typed=True keeps an exact argument and a
+# complex one of equal value (7/2 and 3.5+0j hash alike) apart.
+_FACTORS_KEPT = 1024
+
+
+@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
 def q_ratio(z, m):
     """Q(z,m)/Q(z,0) = Gamma(z)^2/(Gamma(z+m)Gamma(z-m)) = 1/((z)^(m) (z)^(-m)),
     also the Pochhammer pair of t_norm and the generating function.
@@ -249,8 +265,10 @@ _N_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(-3, 2), Fraction(1
 
 
 # The spin tables (mn_matrices, _s_terms) are kept for the last
-# _SPINS_KEPT spins used; verify --deep reads 13.
+# _SPINS_KEPT spins used; verify --deep reads 13.  Their values (_s_value)
+# are kept for the last _S_VALUES_KEPT used; verify --deep reads 148.
 _SPINS_KEPT = 32
+_S_VALUES_KEPT = 1024
 
 
 @lru_cache(maxsize=_SPINS_KEPT)
@@ -272,8 +290,9 @@ def _s_terms(j: HalfInt) -> list:
     """The lambda-free terms of _s_block at spin j, built once per spin:
     ``terms[a][k]`` is, for the a-th m3 and the k-th m2 of -j..j, the tuple
     of (m4, (scratch form, complex value)) of each nonzero
-    i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order; an arithmetic reads its
-    member of the pair at its ``form``."""
+    i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order, one pair per value
+    (_s_value); an arithmetic reads its member of the pair at its
+    ``form``."""
     M, N = mn_matrices(j)
     m4s = M.col_index
     terms = []
@@ -285,10 +304,20 @@ def _s_terms(j: HalfInt) -> list:
                 c = mrow[i] * N.entries[i][k]
                 if c:
                     p = ExactScalar.i_power(-m4.twice) * c
-                    cell.append((m4, (p.scratch(), p.to_complex())))
+                    cell.append((m4, _s_value(tuple(p.scratch().items()))))
             row.append(tuple(cell))
         terms.append(row)
     return terms
+
+
+# keyed by the value's items in key order, which fix the complex value's
+# bits: the 284 terms of spin 3 take 40 values, and 605 of spin 4 take 48
+@lru_cache(maxsize=_S_VALUES_KEPT)
+def _s_value(items: tuple) -> tuple:
+    """The S term with these (radical key, (numerator, denominator)) items,
+    as (scratch form, complex): one pair per value."""
+    cell = dict(items)
+    return cell, ExactScalar.from_scratch(cell).to_complex()
 
 
 def _two_pow(m: HalfInt) -> ExactScalar:
@@ -367,7 +396,7 @@ def t_norm(n, m, z):
     if not diff.is_integer():
         raise ValueError("t_norm needs m-n integral, got %s" % diff)
     d = diff.as_int()
-    return lift(ExactScalar.i_power(d), z) * q_ratio(z, Fraction(d, 2))
+    return lift(ExactScalar.i_power(d), z) * q_ratio(z, HalfInt(d))
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +588,11 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     """[A(lambda)]^{j,n}_{m1,m2} for m1 in rows and m2 in cols: the constant
     (t1,t2) Laurent coefficient of the generating function, assembled as a
     p-indexed sum of separable terms (the partial-sum form of the 5F4): each
-    term is an m1-only factor times an m2-only factor times a p-only factor,
-    and each factor is built once per block.
+    term is an m1-only factor times an m2-only factor times a p-only factor.
+    The m1-only and m2-only factors depend on (j, m, eps) and lambda, not on
+    n, so they are built once per character and kept by _genfun_rows and
+    _genfun_cols; the p-only factors (the A2 Pochhammer pair, which depends
+    on n) and the A4 column constant are built once per block.
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
     hyperplanes must cancel across the sum, within each radical monomial of
@@ -572,11 +604,9 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     jj, nn = j.as_int(), n.as_int()
     eps = ((j - n).as_int() - delta[0]) % 2
     l1, l2 = Fraction(lam[0]), Fraction(lam[1])
-    l1j = _jet(l1)
     half = Fraction(1, 2)
     _a1, a2, _a3, a4 = word_stages(LONG_WORD, Character(delta, (l1, l2)))
     ps = range(0, jj - eps + 1)
-    order = 2 * jj
     with _named("block (%s,%s)" % (j, n)):
         # p-only: (-1)^p times the lambda1 Pochhammer pair of exponent
         # (j-n-2p-eps)/2, as an eps jet where that exponent is an integer and
@@ -585,10 +615,10 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
         base = LSeries1(0, [a2.argument, half], _JET_HI)
         p_jet, p_exact = [], []
         for p in ps:
-            pair_e = Fraction(jj - nn - 2 * p - eps, 2)
+            pair_e = HalfInt(jj - nn - 2 * p - eps)
             sgn = Fraction((-1) ** p)
-            if pair_e.denominator == 1:
-                k = int(pair_e)
+            if pair_e.is_integer():
+                k = pair_e.as_int()
                 p_jet.append((pochhammer(base, k) * pochhammer(base, -k)).inverse() * sgn)
                 p_exact.append(ExactScalar(1))
             else:
@@ -596,29 +626,21 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
                 with _named("stage %s Pochhammer pair (argument %s)" % (a2.name, a2.argument)):
                     p_exact.append(q_ratio(a2.argument, pair_e))
 
-        # m1-only (rows): the t1 series and, per p, its jet and Gamma factors
+        # m1-only (rows) and m2-only (cols) factors of the character; the
+        # columns take this block's p-only factors, and the A4 pair
         row_jet, row_gam, row_const = [], [], []
         for m1 in rows:
             m1 = HalfInt.of(m1)
-            a = m1.as_int()
-            f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half,
-                               Fraction(-2 * jj), 1, order)
-            row_jet.append([_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
-                            * pochhammer((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps])
-            row_gam.append([gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps])
+            jets, gams = _genfun_rows(jj, m1.as_int(), eps, l1, l2)
+            row_jet.append(jets)
+            row_gam.append(gams)
             row_const.append(c_factor(j, m1).inverse())
-
-        # m2-only (cols): the t2 series, the A4 Pochhammer pair and the phase
         col_jet, col_gam, col_const = [], [], []
         for m2 in cols:
             m2 = HalfInt.of(m2)
-            b = m2.as_int()
-            f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half,
-                               Fraction(-2 * jj), 1, order)
-            col_jet.append([_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
-                            * pochhammer((l1j + l2) * half, (jj - b - eps) // 2 - p) * p_jet[p]
-                            for p in ps])
-            col_gam.append([gamma_half(Fraction(1 - eps + jj + b, 2) - p) * p_exact[p] for p in ps])
+            jets, gams = _genfun_cols(jj, m2.as_int(), eps, l1, l2)
+            col_jet.append([c * pj for c, pj in zip(jets, p_jet)])
+            col_gam.append([g * pe for g, pe in zip(gams, p_exact)])
             with _named("stage %s Pochhammer pair (argument %s)" % (a4.name, a4.argument)):
                 col_const.append(t_norm(n, m2, a4.argument) / c_factor(j, m2))
 
@@ -644,6 +666,34 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
                 out_row.append(const * rc * cc * total)
             out.append(out_row)
     return out
+
+
+@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
+def _genfun_rows(jj: int, a: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
+    """The m1-only factors of _genfun_raw_block at m1 = a, per p: the
+    coefficient of the t1 series times its eps-jet Pochhammer, and the
+    Gamma factor."""
+    half = Fraction(1, 2)
+    l1j = _jet(l1)
+    ps = range(0, jj - eps + 1)
+    f1 = hyp2f1_series(Fraction(-jj + a), (l1j - l2 - 2 * jj - 1) * half, Fraction(-2 * jj), 1, 2 * jj)
+    jets = tuple(_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
+                 * pochhammer((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps)
+    return jets, tuple(gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps)
+
+
+@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
+def _genfun_cols(jj: int, b: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
+    """The m2-only factors of _genfun_raw_block at m2 = b, per p: the
+    coefficient of the t2 series times its eps-jet Pochhammer, and the
+    Gamma factor.  The block multiplies them by its p-only factors."""
+    half = Fraction(1, 2)
+    l1j = _jet(l1)
+    ps = range(0, jj - eps + 1)
+    f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half, Fraction(-2 * jj), 1, 2 * jj)
+    jets = tuple(_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
+                 * pochhammer((l1j + l2) * half, (jj - b - eps) // 2 - p) for p in ps)
+    return jets, tuple(gamma_half(Fraction(1 - eps + jj + b, 2) - p) for p in ps)
 
 
 def _ct_at(f: list, binom_exp: Fraction, shift: int):

@@ -58,16 +58,19 @@ class EulerAngles:
 _HALF_SQRT2 = ExactScalar(Fraction(1, 2), 2)   # 1/sqrt(2)
 
 
+# sin(c*pi) at the quarter turns c in [0, 2)
+_SIN_PI = {Fraction(0): ExactScalar(0), Fraction(1, 4): _HALF_SQRT2,
+           Fraction(1, 2): ExactScalar(1), Fraction(3, 4): _HALF_SQRT2,
+           Fraction(1): ExactScalar(0), Fraction(5, 4): -_HALF_SQRT2,
+           Fraction(3, 2): ExactScalar(-1), Fraction(7, 4): -_HALF_SQRT2}
+
+
 def sin_pi(c: Fraction) -> ExactScalar:
     """sin(c*pi) for c a multiple of 1/4."""
     c = Fraction(c) % 2
-    table = {Fraction(0): ExactScalar(0), Fraction(1, 4): _HALF_SQRT2,
-             Fraction(1, 2): ExactScalar(1), Fraction(3, 4): _HALF_SQRT2,
-             Fraction(1): ExactScalar(0), Fraction(5, 4): -_HALF_SQRT2,
-             Fraction(3, 2): ExactScalar(-1), Fraction(7, 4): -_HALF_SQRT2}
-    if c not in table:
+    if c not in _SIN_PI:
         raise ValueError("sin(%s*pi) is not a quarter-turn value" % c)
-    return table[c]
+    return _SIN_PI[c]
 
 
 def cos_pi(c: Fraction) -> ExactScalar:
@@ -142,19 +145,26 @@ def little_d(j, m1, m2, theta):
     j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
     lo = max(0, (m1 - m2).as_int())
     hi = min((j - m2).as_int(), (j + m1).as_int())
+    # the exponents a, b of every term lie in 0..2j: one list of powers each
+    tj = (j + j).as_int()
     if isinstance(theta, (int, Fraction)):
         s, c = sin_pi(Fraction(theta) / 2), cos_pi(Fraction(theta) / 2)
+        s_pow, c_pow = [ExactScalar(1)], [ExactScalar(1)]
+        for _ in range(tj):
+            s_pow.append(s_pow[-1] * s)
+            c_pow.append(c_pow[-1] * c)
     else:
         s, c = math.sin(float(theta) / 2), math.cos(float(theta) / 2)
+        s_pow, c_pow = [s ** a for a in range(tj + 1)], [c ** b for b in range(tj + 1)]
     total = 0 * s           # the zero of s's arithmetic: exact or float
     for p in range(lo, hi + 1):
         a = (m2 - m1).as_int() + 2 * p
-        b = (j + j).as_int() + (m1 - m2).as_int() - 2 * p
+        b = tj + (m1 - m2).as_int() - 2 * p
         num = Fraction((-1) ** ((m2 - m1).as_int() + p),
                        math.factorial((j + m1).as_int() - p) * math.factorial(p)
                        * math.factorial((m2 - m1).as_int() + p)
                        * math.factorial((j - m2).as_int() - p))
-        total = total + num * s ** a * c ** b
+        total = total + num * s_pow[a] * c_pow[b]
     return total
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                          gamma_half, half_range, parse_scalar)
 from sp4ps.gkmod import NONCOMPACT, dr_p_action, ktypes, m_set
-from sp4ps import intertwine
+from sp4ps import exact, intertwine
 from sp4ps.intertwine import (BRAID_WORD, LONG_WORD, BlockMatrix, DegenerateBlock,
                               QuadratureError, block_from_json, block_to_csv, block_to_json,
                               braid_check, closed_form_check, genfun_check, genfun_vs_product,
@@ -82,6 +83,19 @@ def test_t_norm():
     assert v == ExactScalar.i_power(1) * gamma_half(F(7, 2)) ** 2 / (gamma_half(4) * gamma_half(3))
 
 
+def test_memo_keys_keep_exact_and_complex_apart():
+    # F(7, 2) == 3.5 + 0j, and both hash alike: a memo that shared one slot
+    # between them would hand a complex run an exact value, or the reverse
+    for first, second in ((F(7, 2), 3.5 + 0j), (3.5 + 0j, F(7, 2))):
+        q_ratio.cache_clear()
+        for z in (first, second):
+            want = ExactScalar if isinstance(z, F) else complex
+            assert type(q_ratio(z, HalfInt(2))) is want
+            assert type(q_ratio(z, F(1, 2))) is want
+            assert type(t_norm(0, 2, z)) is want
+            assert type(t_norm(1, 2, z)) is want
+
+
 # ---------------------------------------------------------------------------
 # M, N
 # ---------------------------------------------------------------------------
@@ -106,6 +120,22 @@ def test_spin_caches_are_bounded():
     # lru_caches of one fixed size that holds the 13 spins verify --deep reads
     for cache in (mn_matrices, intertwine._s_terms):
         assert cache.cache_info().maxsize == intertwine._SPINS_KEPT >= 13
+
+
+# the memos of the operator layer that hold values, not tables
+OPERATOR_MEMOS = (q_ratio, intertwine._genfun_rows, intertwine._genfun_cols, intertwine._s_value,
+                  gamma_half)
+
+
+def test_operator_memos_are_bounded():
+    # fixed sizes, each above what verify --deep reads at delta (0,0) and
+    # seed 7 (shown beside it), so that no entry is evicted there
+    for cache, size, deep in ((q_ratio, intertwine._FACTORS_KEPT, 202),
+                              (intertwine._genfun_rows, intertwine._FACTORS_KEPT, 16),
+                              (intertwine._genfun_cols, intertwine._FACTORS_KEPT, 16),
+                              (intertwine._s_value, intertwine._S_VALUES_KEPT, 148),
+                              (gamma_half, exact._GAMMAS_KEPT, 33)):
+        assert cache.cache_info().maxsize == size > deep
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +471,30 @@ def test_genfun_needs_no_product(monkeypatch):
                 got.append((chi, (j, n), gm))
     for chi, kt, gm in got:
         assert gm.entries == long_operator_product(kt, chi).entries
+
+
+def test_warm_memos_give_the_cold_blocks():
+    # the product and genfun blocks of j, |n| <= 3 at two characters, in
+    # shuffled order with the memos warm (as the benchmark's operators
+    # workload runs them), equal the blocks computed each from cold memos,
+    # entry for entry and term for term
+    chis = (Character((0, 0), (F(7, 3), F(4, 5))), Character((1, 1), (F(6), F(4))))
+    routes = {"product": long_operator_product, "genfun": long_operator_genfun}
+    items = [(route, chi, (j, n)) for chi in chis for (j, n, _mult) in ktypes(chi.delta, 3, 3)
+             for route in routes]
+    random.Random(5).shuffle(items)
+
+    def terms(bm):
+        return [[list(e.terms.items()) for e in row] for row in bm.entries]
+
+    cold = {}
+    for route, chi, kt in items:
+        for memo in OPERATOR_MEMOS + (intertwine._s_terms,):
+            memo.cache_clear()
+        cold[route, chi, kt] = terms(routes[route](kt, chi))
+    for route, chi, kt in items:
+        assert terms(routes[route](kt, chi)) == cold[route, chi, kt], (route, chi, kt)
+    assert q_ratio.cache_info().hits and intertwine._genfun_rows.cache_info().hits
 
 
 def test_genfun_degenerate_block_is_named():
