@@ -216,6 +216,12 @@ def cmd_ktypes(args) -> int:
     return 0
 
 
+def _cannot_write(out, exc: OSError) -> int:
+    """A directory or block file that cannot be written is a usage error: exit 2."""
+    print("error: cannot write to %s: %s" % (out, exc), file=sys.stderr)
+    return 2
+
+
 def cmd_compute(args) -> int:
     chi = Character(args.delta, args.lam)
     kind = args.kind
@@ -225,8 +231,7 @@ def cmd_compute(args) -> int:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
-            print("error: cannot write to %s: %s" % (args.out, exc), file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
     blocks = []
     for (j, n, _mult) in gkmod.ktypes(args.delta, args.jmax, args.nmax):
         t = time.perf_counter()
@@ -249,8 +254,11 @@ def cmd_compute(args) -> int:
             text = intertwine.block_to_csv(bm)
             name = "block_%s_%s.csv" % (str(j).replace("/", "o"), str(n).replace("/", "o"))
         if args.out:
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(text)
+            try:
+                with open(os.path.join(args.out, name), "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
         else:
             print(text)
     if args.out:

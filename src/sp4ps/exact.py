@@ -19,8 +19,12 @@ of one of them.  ``ExactScalar.__mul__`` and ``Scratch.mul_acc`` share
 one product rule for radical monomials, ``_radical_product``, which they
 read through a bounded memo keyed by the pair of radical keys
 (``_key_product``): a run meets a few dozen keys and multiplies them
-hundreds of thousands of times.  An exact constant enters a float
-computation only through ``lift`` (or ``Complex.lift``).
+hundreds of thousands of times.  A constant that both arithmetics read
+(a Clebsch-Gordan product of a module row, an S term of the operator
+layer) is held as one (scratch form, complex) pair per value
+(``value_pair``, a bounded memo), which ``Scratch.form`` and
+``Complex.form`` index.  An exact constant enters a float computation only
+through ``lift`` (or ``Complex.lift``).
 """
 
 from __future__ import annotations
@@ -529,6 +533,21 @@ class Complex:
         return c
 
     settle = freeze
+
+
+# keyed by the value's items in key order, which fix the complex value's
+# bits; verify --deep reads 776 (632 CG products and 148 S terms, 4 shared)
+_PAIRS_KEPT = 4096
+
+
+@lru_cache(maxsize=_PAIRS_KEPT)
+def value_pair(items: tuple) -> tuple:
+    """The value with these (radical key, (numerator, denominator)) items
+    as the pair (scratch form, complex) that ``Scratch.form`` and
+    ``Complex.form`` index: one shared pair per value, which no holder
+    mutates."""
+    cell = dict(items)
+    return cell, ExactScalar.from_scratch(cell).to_complex()
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ without a lock, and only the tables of the last ``_TABLES_KEPT`` characters
 are kept.
 
 A u-row depends on lambda only through the affine factors of its three
-dr(u_nu) terms (``_dr_terms``).  Everything else is its skeleton
-(``_skeleton``), cached per (catalog label, 2j, 2m1, 2m2) and shared
-across n, delta and characters: for each term and each j0, the target's
-twice-values and the product of two Clebsch-Gordan values, in scratch form
-and as a complex number (``_cg_value``: a few dozen distinct values, each
-held once).  A row is then one
+dr(u_nu) terms (``_dr_terms``, written once for the family n_beta = 1: the
+family -1 at (n, m2) is the family 1 at (-n, -m2)).  Everything else is
+its skeleton (``_skeleton``), cached per (catalog label, 2j, 2m1, 2m2) and
+shared across n, delta and characters: for each term and each j0, the
+target's twice-values and the product of two Clebsch-Gordan values, in
+scratch form and as a complex number (``exact.value_pair``: a few dozen
+distinct values, each held once).  A row is then one
 multiply-accumulate per skeleton entry, of its CG product and its term's
 coefficient -factor * affine at the table's lambda, in the order of the
 CG expansion; each table keeps those three coefficients per (family, j, n,
@@ -77,7 +78,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, Scratch, _merge, _square_split, half_range, lift
+from .exact import Character, ExactScalar, HalfInt, Scratch, _merge, _square_split, half_range, lift, value_pair
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
@@ -233,24 +234,23 @@ def _ladder(tj: int, tm2: int) -> ExactScalar:
     return -_I * ExactScalar.sqrt_rational((tj - tm2) * (tj + tm2 + 2) // 4)
 
 
-# (m_nu, m2 shift) of the three dr(u_nu) terms, by the family n_beta = +-1
-_DR_SHAPE = {1: ((-1, 0), (1, 0), (0, 1)), -1: ((1, 0), (-1, 0), (0, -1))}
+# (m_nu, m2 shift) of the three dr(u_nu) terms, by the family n_beta = +-1:
+# the family -1 has the weights of the family 1 negated
+_DR_SHAPE = {s: tuple((s * m_nu, s * shift) for m_nu, shift in ((-1, 0), (1, 0), (0, 1))) for s in (1, -1)}
 
 
 def _dr_terms(n_beta: int, tj: int, tn: int, tm2: int, lam) -> tuple:
     """The (exact factor, affine factor) of the three dr(u_nu) terms, in
-    the order of ``_DR_SHAPE``, on twice-values j, n, m2.  The i/sqrt2 and
-    ladder factors do not depend on lambda and stay exact; the affine
-    factor is a Fraction at rational lambda and complex at complex lambda.
-    It is the only place where a row meets lambda."""
+    the order of ``_DR_SHAPE``, on twice-values j, n, m2; the family -1 at
+    (n, m2) is the family 1 at (-n, -m2).  The i/sqrt2 and ladder factors
+    do not depend on lambda and stay exact; the affine factor is a Fraction
+    at rational lambda and complex at complex lambda.  It is the only place
+    where a row meets lambda."""
     l1, l2 = lam
-    if n_beta == 1:
-        return ((_I_OVER_SQRT2, Fraction(tm2 - tn, 2) - (l2 + 1)),
-                (_I_OVER_SQRT2, Fraction(-tn - tm2, 2) - (l1 + 2)),
-                (_ladder(tj, tm2), 1))
-    return ((_I_OVER_SQRT2, Fraction(tn - tm2, 2) - (l2 + 1)),
-            (_I_OVER_SQRT2, Fraction(tn + tm2, 2) - (l1 + 2)),
-            (_ladder(tj, -tm2), 1))
+    tn, tm2 = n_beta * tn, n_beta * tm2
+    return ((_I_OVER_SQRT2, Fraction(tm2 - tn, 2) - (l2 + 1)),
+            (_I_OVER_SQRT2, Fraction(-tn - tm2, 2) - (l1 + 2)),
+            (_ladder(tj, tm2), 1))
 
 
 def dr_p_action(beta, v: WignerIndex, chi: Character) -> dict:
@@ -339,7 +339,7 @@ def _skeleton(lab: tuple, tj: int, tm1: int, tm2: int) -> tuple:
     j', m1', m2', CG product), ...), in the row's term order.  The target's
     n is n + n_beta.  The CG product is
     <j', m1' | j, m1, 1, m_beta> <j', m2' | j, m2 + shift, 1, m_nu>, as
-    the pair (scratch form, complex) of ``_cg_value``."""
+    the pair (scratch form, complex) of ``exact.value_pair``."""
     _, m_beta, n_beta = lab
     tm1t = tm1 + 2 * m_beta
     out = []
@@ -354,18 +354,8 @@ def _skeleton(lab: tuple, tj: int, tm1: int, tm2: int) -> tuple:
                 continue
             cg = Scratch.product(_cg(tj, tm1, m_beta, j0), _cg(tj, tm2p, m_nu, j0))
             if cg:
-                out.append((t, tjt, tm1t, tm2t, _cg_value(tuple((k, tuple(nd)) for k, nd in cg.items()))))
+                out.append((t, tjt, tm1t, tm2t, value_pair(tuple((k, tuple(nd)) for k, nd in cg.items()))))
     return tuple(out)
-
-
-# keyed by the value: a few dozen CG products fill thousands of skeleton
-# entries, which share them
-@lru_cache(maxsize=_SKELETONS_KEPT)
-def _cg_value(items: tuple) -> tuple:
-    """The CG product with these (radical key, (numerator, denominator))
-    items, as (scratch form, complex): one pair per value."""
-    cell = dict(items)
-    return cell, ExactScalar.from_scratch(cell).to_complex()
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ depends on one index only (a row, a column, an m4 or a p) is built once per
 block.  A factor that depends on lambda and the spin but not on n is built
 once per character and kept in a bounded memo: q_ratio(z, m) (the S blocks
 of A1 and A3, t_norm of A2 and A4, the generating function's A2 pair and A4
-column), and the generating function's m1-only and m2-only t-series
-coefficients, eps jets and Gamma values (_genfun_rows, _genfun_cols).
-Their keys keep an exact argument and a complex one of equal value apart,
-and gamma_half's own memo lets them share its values.  The lambda-free S
+column), and the generating function's m1-only t-series coefficients,
+eps jets and Gamma values (_genfun_side); its m2-only factors are the same
+list mirrored (m -> -m, lambda2 -> -lambda2, p -> j-eps-p).  Their keys
+keep an exact argument and a complex one of equal value apart, and
+gamma_half's own memo lets them share its values.  The lambda-free S
 terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
-with one (scratch, complex) pair per distinct value (_s_value), and S
+with one (scratch, complex) pair per distinct value (exact.value_pair), and S
 entries and block products are summed in the arithmetic of their entries,
 ``exact.Scratch`` (integer scratch form, each entry settled once) or
 ``exact.Complex``, by one loop each.
@@ -60,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .exact import (Character, Complex, ExactScalar, HalfInt, PoleError, Scratch, UnsupportedExactInput,
-                    gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite)
+                    gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite, value_pair)
 from .gkmod import m_set
 from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
 from .sp4 import weyl_on_lambda
@@ -219,9 +220,9 @@ def q_factor(z, nu):
     return lift(ExactScalar(1, 1, 2), z) * 2 ** (2 - 2 * z) * gam
 
 
-# The lambda-only factors (q_ratio, _genfun_rows, _genfun_cols) are kept for
-# the last _FACTORS_KEPT arguments of each; verify --deep reads 202 q_ratio
-# and 16 of each genfun list.  typed=True keeps an exact argument and a
+# The lambda-only factors (q_ratio, _genfun_side) are kept for the last
+# _FACTORS_KEPT arguments of each; verify --deep reads 202 q_ratio and
+# 32 genfun lists.  typed=True keeps an exact argument and a
 # complex one of equal value (7/2 and 3.5+0j hash alike) apart.
 _FACTORS_KEPT = 1024
 
@@ -265,10 +266,8 @@ _N_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(-3, 2), Fraction(1
 
 
 # The spin tables (mn_matrices, _s_terms) are kept for the last
-# _SPINS_KEPT spins used; verify --deep reads 13.  Their values (_s_value)
-# are kept for the last _S_VALUES_KEPT used; verify --deep reads 148.
+# _SPINS_KEPT spins used; verify --deep reads 13.
 _SPINS_KEPT = 32
-_S_VALUES_KEPT = 1024
 
 
 @lru_cache(maxsize=_SPINS_KEPT)
@@ -291,8 +290,8 @@ def _s_terms(j: HalfInt) -> list:
     ``terms[a][k]`` is, for the a-th m3 and the k-th m2 of -j..j, the tuple
     of (m4, (scratch form, complex value)) of each nonzero
     i^{-2 m4} M_{m3,m4} N_{m4,m2}, in m4 order, one pair per value
-    (_s_value); an arithmetic reads its member of the pair at its
-    ``form``."""
+    (``exact.value_pair``); an arithmetic reads its member of the pair at
+    its ``form``."""
     M, N = mn_matrices(j)
     m4s = M.col_index
     terms = []
@@ -304,20 +303,10 @@ def _s_terms(j: HalfInt) -> list:
                 c = mrow[i] * N.entries[i][k]
                 if c:
                     p = ExactScalar.i_power(-m4.twice) * c
-                    cell.append((m4, _s_value(tuple(p.scratch().items()))))
+                    cell.append((m4, value_pair(tuple(p.scratch().items()))))
             row.append(tuple(cell))
         terms.append(row)
     return terms
-
-
-# keyed by the value's items in key order, which fix the complex value's
-# bits: the 284 terms of spin 3 take 40 values, and 605 of spin 4 take 48
-@lru_cache(maxsize=_S_VALUES_KEPT)
-def _s_value(items: tuple) -> tuple:
-    """The S term with these (radical key, (numerator, denominator)) items,
-    as (scratch form, complex): one pair per value."""
-    cell = dict(items)
-    return cell, ExactScalar.from_scratch(cell).to_complex()
 
 
 def _two_pow(m: HalfInt) -> ExactScalar:
@@ -590,9 +579,11 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     p-indexed sum of separable terms (the partial-sum form of the 5F4): each
     term is an m1-only factor times an m2-only factor times a p-only factor.
     The m1-only and m2-only factors depend on (j, m, eps) and lambda, not on
-    n, so they are built once per character and kept by _genfun_rows and
-    _genfun_cols; the p-only factors (the A2 Pochhammer pair, which depends
-    on n) and the A4 column constant are built once per block.
+    n, so they are built once per character and kept by _genfun_side: the
+    t2 factors are the t1 factors mirrored, so column m2 reads
+    _genfun_side(jj, -m2, eps, lambda1, -lambda2) in reverse p order.  The
+    p-only factors (the A2 Pochhammer pair, which depends on n) and the A4
+    column constant are built once per block.
 
     lambda1 is perturbed by a formal epsilon; per-term poles on lambda1
     hyperplanes must cancel across the sum, within each radical monomial of
@@ -631,16 +622,16 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
         row_jet, row_gam, row_const = [], [], []
         for m1 in rows:
             m1 = HalfInt.of(m1)
-            jets, gams = _genfun_rows(jj, m1.as_int(), eps, l1, l2)
+            jets, gams = _genfun_side(jj, m1.as_int(), eps, l1, l2)
             row_jet.append(jets)
             row_gam.append(gams)
             row_const.append(c_factor(j, m1).inverse())
         col_jet, col_gam, col_const = [], [], []
         for m2 in cols:
             m2 = HalfInt.of(m2)
-            jets, gams = _genfun_cols(jj, m2.as_int(), eps, l1, l2)
-            col_jet.append([c * pj for c, pj in zip(jets, p_jet)])
-            col_gam.append([g * pe for g, pe in zip(gams, p_exact)])
+            jets, gams = _genfun_side(jj, -m2.as_int(), eps, l1, -l2)
+            col_jet.append([c * pj for c, pj in zip(reversed(jets), p_jet)])
+            col_gam.append([g * pe for g, pe in zip(reversed(gams), p_exact)])
             with _named("stage %s Pochhammer pair (argument %s)" % (a4.name, a4.argument)):
                 col_const.append(t_norm(n, m2, a4.argument) / c_factor(j, m2))
 
@@ -669,10 +660,11 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
 
 
 @lru_cache(maxsize=_FACTORS_KEPT, typed=True)
-def _genfun_rows(jj: int, a: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
+def _genfun_side(jj: int, a: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
     """The m1-only factors of _genfun_raw_block at m1 = a, per p: the
     coefficient of the t1 series times its eps-jet Pochhammer, and the
-    Gamma factor."""
+    Gamma factor.  The t2 factors are these mirrored: the m2-only factors
+    at m2 = b are _genfun_side(jj, -b, eps, l1, -l2) in reverse p order."""
     half = Fraction(1, 2)
     l1j = _jet(l1)
     ps = range(0, jj - eps + 1)
@@ -680,20 +672,6 @@ def _genfun_rows(jj: int, a: int, eps: int, l1: Fraction, l2: Fraction) -> tuple
     jets = tuple(_ct_at(f1, Fraction(-1 + jj + a - eps, 2) - p, 2 * jj - 2 * p - eps)
                  * pochhammer((l1j - l2) * half, (eps - jj + a) // 2 + p) for p in ps)
     return jets, tuple(gamma_half(Fraction(1 + eps - jj - a, 2) + p) for p in ps)
-
-
-@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
-def _genfun_cols(jj: int, b: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
-    """The m2-only factors of _genfun_raw_block at m2 = b, per p: the
-    coefficient of the t2 series times its eps-jet Pochhammer, and the
-    Gamma factor.  The block multiplies them by its p-only factors."""
-    half = Fraction(1, 2)
-    l1j = _jet(l1)
-    ps = range(0, jj - eps + 1)
-    f2 = hyp2f1_series(Fraction(-jj - b), (l1j + l2 - 2 * jj - 1) * half, Fraction(-2 * jj), 1, 2 * jj)
-    jets = tuple(_ct_at(f2, Fraction(eps - 1 - jj - b, 2) + p, 2 * p + eps)
-                 * pochhammer((l1j + l2) * half, (jj - b - eps) // 2 - p) for p in ps)
-    return jets, tuple(gamma_half(Fraction(1 - eps + jj + b, 2) - p) for p in ps)
 
 
 def _ct_at(f: list, binom_exp: Fraction, shift: int):

@@ -316,21 +316,20 @@ def exp_nilpotent(x: GMat) -> GMat:
     return out
 
 
-def _exp_rotation(k: GMat, p: GMat, cos, sin) -> GMat:
-    """exp(theta K) = (I-P) + cos P + sin K for K^2 = -P, P a projection."""
-    return (GMat.identity() - p) + p.scale(Cyc8.of(cos)) + k.scale(Cyc8.of(sin))
+def _rotation(simple: str, cos, sin) -> GMat:
+    """exp(theta K) = (I-P) + cos P + sin K for K = X - X^t of a simple
+    root: K = 2 U2 with K^2 = -I for a1, and K^2 = -P_{24} for a2."""
+    if simple not in ("a1", "a2"):
+        raise ValueError("simple root must be 'a1' or 'a2'")
+    x = chevalley(simple)
+    p = GMat.identity() if simple == "a1" else _e(1, 1) + _e(3, 3)
+    return (GMat.identity() - p) + p.scale(Cyc8.of(cos)) + (x - x.transpose()).scale(Cyc8.of(sin))
 
 
 def weyl_reflection(simple: str) -> GMat:
-    """w_{a1} = exp(pi U2), w_{a2} = exp((pi/2)(U0-U3)); both closed-form."""
-    if simple == "a1":
-        k = chevalley("a1") - chevalley("a1").transpose()      # = 2 U2, K^2 = -I
-        return _exp_rotation(k, GMat.identity(), 0, 1)         # angle pi/2
-    if simple == "a2":
-        k = chevalley("a2") - chevalley("a2").transpose()      # K^2 = -P_{24}
-        p = _e(1, 1) + _e(3, 3)
-        return _exp_rotation(k, p, 0, 1)
-    raise ValueError("simple root must be 'a1' or 'a2'")
+    """w_{a1} = exp(pi U2), w_{a2} = exp((pi/2)(U0-U3)): the rotations by
+    the angle pi/2; both closed-form."""
+    return _rotation(simple, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +388,8 @@ def iwasawa_sl2(simple: str, t):
         t = Fraction(t)
         h2 = 1 + t * t
         s = _sqrt_fraction(h2)          # sqrt(1+t^2)
-        cos, sin = 1 / s, -t / s        # theta = arctan(-t)
-        if simple == "a1":
-            k = chevalley("a1") - chevalley("a1").transpose()
-            kappa = _exp_rotation(k, GMat.identity(), cos, sin)
-        else:
-            k = chevalley("a2") - chevalley("a2").transpose()
-            kappa = _exp_rotation(k, _e(1, 1) + _e(3, 3), cos, sin)
-        return kappa, h_alpha(simple, s), chi_alpha(simple, t / h2)
+        # theta = arctan(-t)
+        return _rotation(simple, 1 / s, -t / s), h_alpha(simple, s), chi_alpha(simple, t / h2)
     import numpy as np
     from scipy.linalg import expm
     t = float(t)

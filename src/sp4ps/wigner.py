@@ -125,7 +125,11 @@ class WignerIndex:
         return "W[(%s,%s);%s,%s]" % (self.j, self.n, self.m1, self.m2)
 
 
-@lru_cache(maxsize=None)
+# keyed by (j, m) from the window; verify --deep reads 91
+_C_FACTORS_KEPT = 1024
+
+
+@lru_cache(maxsize=_C_FACTORS_KEPT)
 def c_factor(j: HalfInt, m: HalfInt) -> ExactScalar:
     """c^j_m = sqrt((j+m)!(j-m)!)."""
     return ExactScalar.sqrt_rational(

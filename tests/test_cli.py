@@ -176,6 +176,15 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert path.read_text() == "x"
 
 
+def test_unwritable_block_file_is_a_config_error(tmp_path, capsys):
+    # the directory exists, but the block's file name is taken by a directory
+    (tmp_path / "block_0_0.json").mkdir()
+    assert main(["compute", "--kind", "A1", "--jmax", "0", "--nmax", "0", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write to %s: " % tmp_path) and "Traceback" not in err
+    assert "wrote" not in out
+
+
 def test_options_a_subcommand_does_not_read_are_rejected(capsys):
     for argv in (["compute", "--trunc-order", "9"], ["verify", "--jmax", "1"],
                  ["ktypes", "--lambda", "1,1"]):

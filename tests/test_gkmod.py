@@ -640,7 +640,7 @@ def test_skeleton_rows_match_a_cg_expansion(chi):
     # rows built from cold skeletons, for all six u-labels on every vector
     # with j <= 2: the same targets in the same order and the same values,
     # complex ones by repr (so the same bits)
-    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, gkmod._cg_value):
+    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, exact.value_pair):
         cache.cache_clear()
     vecs = _all_vectors(4)
     for lab in gkmod._LABELS[:6]:
@@ -661,7 +661,7 @@ def test_key_product_memo_matches_the_rule(rng):
     # benchmark's windows (Casimir at four characters, brackets of dense
     # pairs): the memo holds _radical_product's value, which multiplies the
     # two monomials numerically
-    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, gkmod._cg_value, gkmod._cg):
+    for cache in (gkmod._table, gkmod._dl_p_cached, gkmod._skeleton, exact.value_pair, gkmod._cg):
         cache.cache_clear()
     exact._KEY_PRODUCTS.clear()
     for delta, lam, j_max, n_max in (((0, 0), (F(5, 2), F(1, 3)), 2, 1), ((1, 1), (F(9, 4), F(-5, 7)), 2, 1),
@@ -704,9 +704,10 @@ def test_lambda_free_caches_are_bounded():
     for cache, size, deep in ((gkmod._cg, gkmod._CG_KEPT, 278), (gkmod._ladder, gkmod._LADDER_KEPT, 36),
                               (gkmod._dl_k_cached, gkmod._DL_K_KEPT, 6060),
                               (gkmod._skeleton, gkmod._SKELETONS_KEPT, 1584),
-                              (gkmod._cg_value, gkmod._SKELETONS_KEPT, 632),
+                              (exact.value_pair, exact._PAIRS_KEPT, 776),
                               (gkmod._half_radical, gkmod._DL_K_KEPT, 45),
-                              (clebsch_gordan_j1, wigner._CG_KEPT, 315)):
+                              (clebsch_gordan_j1, wigner._CG_KEPT, 315),
+                              (wigner.c_factor, wigner._C_FACTORS_KEPT, 91)):
         assert cache.cache_info().maxsize == size > deep
     assert exact._KEY_PRODUCTS_KEPT > 1516
 

@@ -123,17 +123,15 @@ def test_spin_caches_are_bounded():
 
 
 # the memos of the operator layer that hold values, not tables
-OPERATOR_MEMOS = (q_ratio, intertwine._genfun_rows, intertwine._genfun_cols, intertwine._s_value,
-                  gamma_half)
+OPERATOR_MEMOS = (q_ratio, intertwine._genfun_side, exact.value_pair, gamma_half)
 
 
 def test_operator_memos_are_bounded():
     # fixed sizes, each above what verify --deep reads at delta (0,0) and
     # seed 7 (shown beside it), so that no entry is evicted there
     for cache, size, deep in ((q_ratio, intertwine._FACTORS_KEPT, 202),
-                              (intertwine._genfun_rows, intertwine._FACTORS_KEPT, 16),
-                              (intertwine._genfun_cols, intertwine._FACTORS_KEPT, 16),
-                              (intertwine._s_value, intertwine._S_VALUES_KEPT, 148),
+                              (intertwine._genfun_side, intertwine._FACTORS_KEPT, 32),
+                              (exact.value_pair, exact._PAIRS_KEPT, 776),
                               (gamma_half, exact._GAMMAS_KEPT, 33)):
         assert cache.cache_info().maxsize == size > deep
 
@@ -494,7 +492,7 @@ def test_warm_memos_give_the_cold_blocks():
         cold[route, chi, kt] = terms(routes[route](kt, chi))
     for route, chi, kt in items:
         assert terms(routes[route](kt, chi)) == cold[route, chi, kt], (route, chi, kt)
-    assert q_ratio.cache_info().hits and intertwine._genfun_rows.cache_info().hits
+    assert q_ratio.cache_info().hits and intertwine._genfun_side.cache_info().hits
 
 
 def test_genfun_degenerate_block_is_named():
