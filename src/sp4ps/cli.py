@@ -5,17 +5,21 @@ invariant suites, independent cells run one at a time in this process),
 ``ktypes`` (multiplicity table) and ``mellin-check`` (quadrature grid).  A
 ``verify`` cell is a library ``*_check`` function with its inputs, the check
 the acceptance criteria and unit tests also run, so its tolerance lives in
-the check.  Exit codes: 0 success, 1 failed invariant, 2 pole, unsupported
-exact input, degenerate generating-function block or configuration error.
+the check.  ``compute --out`` writes all of its blocks or none.  Exit
+codes: 0 success, 1 failed invariant, 2 pole, unsupported exact input,
+degenerate generating-function block or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import random
+import shutil
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -53,6 +57,16 @@ def _jobs(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
     return n
+
+
+def _window_bound(text: str) -> Fraction:
+    try:
+        v = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("must be a nonnegative rational, got %r" % text) from None
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %r" % text)
+    return v
 
 
 def _seed() -> int:
@@ -222,6 +236,38 @@ def _cannot_write(out, exc: OSError) -> int:
     return 2
 
 
+def _write_all(out: str, files: list) -> None:
+    """Write each (name, text) of files into the directory out, all or
+    nothing.  The texts go to a temporary directory inside out first; then
+    each file is renamed into place, a file of the same name moved aside
+    until all are in.  An OSError leaves out as it was (the new files
+    removed, the old ones back) and is raised."""
+    stage = tempfile.mkdtemp(prefix=".sp4ps-", dir=out)
+    placed = []                 # (target, the old file's place in stage or None)
+    try:
+        for name, text in files:
+            with open(os.path.join(stage, name), "w") as fh:
+                fh.write(text)
+        for name, _text in files:
+            target, old = os.path.join(out, name), None
+            if os.path.isdir(target):       # never moved aside: the stage is deleted
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            if os.path.lexists(target):
+                old = os.path.join(stage, name + ".old")
+                os.replace(target, old)
+            placed.append((target, old))
+            os.replace(os.path.join(stage, name), target)
+    except OSError:
+        for target, old in reversed(placed):
+            if old is not None:
+                os.replace(old, target)
+            elif os.path.lexists(target):
+                os.remove(target)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def cmd_compute(args) -> int:
     chi = Character(args.delta, args.lam)
     kind = args.kind
@@ -245,24 +291,24 @@ def cmd_compute(args) -> int:
         if args.verbose:
             print("block (%s,%s)  %dx%d  %.3fs" % (j, n, len(bm.row_index), len(bm.col_index),
                                                  time.perf_counter() - t), file=sys.stderr)
+    files = []
     for bm in blocks:
         j, n = bm.ktype
         if args.format == "json":
             text = intertwine.block_to_json(bm, chi, kind)
-            name = "block_%s_%s.json" % (str(j).replace("/", "o"), str(n).replace("/", "o"))
         else:
             text = intertwine.block_to_csv(bm)
-            name = "block_%s_%s.csv" % (str(j).replace("/", "o"), str(n).replace("/", "o"))
-        if args.out:
-            try:
-                with open(os.path.join(args.out, name), "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                return _cannot_write(args.out, exc)
-        else:
+        files.append(("block_%s_%s.%s" % (str(j).replace("/", "o"), str(n).replace("/", "o"), args.format),
+                      text))
+    if not args.out:
+        for _name, text in files:
             print(text)
-    if args.out:
-        print("wrote %d blocks to %s" % (len(blocks), args.out))
+        return 0
+    try:
+        _write_all(args.out, files)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
+    print("wrote %d blocks to %s" % (len(blocks), args.out))
     return 0
 
 
@@ -289,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "a value that starts with '-' needs the = form, --lambda=-7/2,1")
 
     def window(p):
-        p.add_argument("--jmax", type=Fraction, default=Fraction(2))
-        p.add_argument("--nmax", type=Fraction, default=Fraction(2))
+        p.add_argument("--jmax", type=_window_bound, default=Fraction(2))
+        p.add_argument("--nmax", type=_window_bound, default=Fraction(2))
 
     pv = sub.add_parser("verify", help="run the invariant suites")
     delta(pv)

@@ -25,7 +25,10 @@ once per character and kept in a bounded memo: q_ratio(z, m) (the S blocks
 of A1 and A3, t_norm of A2 and A4, the generating function's A2 pair and A4
 column), and the generating function's m1-only t-series coefficients,
 eps jets and Gamma values (_genfun_side); its m2-only factors are the same
-list mirrored (m -> -m, lambda2 -> -lambda2, p -> j-eps-p).  Their keys
+list mirrored (m -> -m, lambda2 -> -lambda2, p -> j-eps-p).  The unnormalized
+Q(z, m4) of s_entry_sum (q_factor) and the closed form's S00(z) (_s00)
+have bounded memos of their own, so that a check which builds its entries
+one at a time builds each factor once per argument.  Their keys
 keep an exact argument and a complex one of equal value apart, and
 gamma_half's own memo lets them share its values.  The lambda-free S
 terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
@@ -200,12 +203,23 @@ def _pole_index(a):
     return -a.as_int() if a.is_integer() and a.as_int() <= 0 else None
 
 
+# The lambda-only factors (q_factor, q_ratio, _s00, _genfun_side) are kept
+# for the last _FACTORS_KEPT arguments of each; verify --deep reads 61
+# q_factor, 202 q_ratio, 5 S00 and 32 genfun lists.  typed=True keeps an
+# exact argument and a complex one of equal value (7/2 and 3.5+0j hash
+# alike) apart.
+_FACTORS_KEPT = 1024
+
+
+@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
 def q_factor(z, nu):
     """Q(z,nu) = pi 2^{2-2z} Gamma(2z-1) / (Gamma(z+nu) Gamma(z-nu)).
 
     Exact at half-integer z; complex z runs on the float path.  Both take
     the Gammas from _gamma_ratio: a pole excess in the numerator raises, and
-    a Gamma of the denominator at its pole makes Q zero.
+    a Gamma of the denominator at its pole makes Q zero.  A bounded memo:
+    the S entries of one block, and of every block at the same z, read the
+    same Q(z, m4), and s_entry_sum builds one entry at a time.
     """
     if isinstance(z, (int, Fraction)):
         z = Fraction(z)
@@ -218,13 +232,6 @@ def q_factor(z, nu):
     gam = _gamma_ratio([(2 * z - 1, 2)], [(z + nu, 1), (z - nu, 1)],
                        "Q(%s,%s): uncancelled Gamma(2z-1) pole" % (z, nu))
     return lift(ExactScalar(1, 1, 2), z) * 2 ** (2 - 2 * z) * gam
-
-
-# The lambda-only factors (q_ratio, _genfun_side) are kept for the last
-# _FACTORS_KEPT arguments of each; verify --deep reads 202 q_ratio and
-# 32 genfun lists.  typed=True keeps an exact argument and a
-# complex one of equal value (7/2 and 3.5+0j hash alike) apart.
-_FACTORS_KEPT = 1024
 
 
 @lru_cache(maxsize=_FACTORS_KEPT, typed=True)
@@ -410,6 +417,7 @@ def _jet_value(total: LSeries1, what: str) -> Fraction:
 # closed-form S (terminating 3F2)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=_FACTORS_KEPT)
 def _s00(z: Fraction) -> ExactScalar:
     """S^{(0,n)}_{0,0}(z) = sqrt(pi) Gamma(z-1/2)/Gamma(z)."""
     return ExactScalar(1, 1, 1) * _gamma_ratio([(z - Fraction(1, 2), 1)], [(z, 1)],

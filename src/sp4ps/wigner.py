@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (ExactScalar, HalfInt, PoleError, binomial, half_range,
-                    hyp_terminating, lift, pochhammer)
+from .exact import ExactScalar, HalfInt, PoleError, binomial, half_range, hyp_terminating
 from .laurent import binom_series, product_coeff
 
 
@@ -125,7 +124,7 @@ class WignerIndex:
         return "W[(%s,%s);%s,%s]" % (self.j, self.n, self.m1, self.m2)
 
 
-# keyed by (j, m) from the window; verify --deep reads 91
+# keyed by (j, m) from the window; verify --deep reads 25
 _C_FACTORS_KEPT = 1024
 
 
@@ -144,32 +143,48 @@ def little_d(j, m1, m2, theta):
     """d^{(j)}_{m1,m2}(theta): trigonometric-polynomial sum.
 
     theta: Fraction (units of pi, must be a multiple of 1/2) for the exact
-    path, or a float in radians.
+    path, or a float in radians.  At a quarter turn sin(theta/2) and
+    cos(theta/2) are sign * r with one r in {1, 1/sqrt2}, and a + b = 2j in
+    every term, so the exact sum is one Fraction times r^{2j}.
     """
-    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
-    lo = max(0, (m1 - m2).as_int())
-    hi = min((j - m2).as_int(), (j + m1).as_int())
-    # the exponents a, b of every term lie in 0..2j: one list of powers each
-    tj = (j + j).as_int()
+    tj, m1, m2 = HalfInt.of(j).twice, HalfInt.of(m1).twice, HalfInt.of(m2).twice
+    if (tj + m1) % 2 or (tj + m2) % 2 or max(abs(m1), abs(m2)) > tj:
+        raise ValueError("d^(%s)_(%s,%s): need |m| <= j and j+m integral"
+                         % (HalfInt(tj), HalfInt(m1), HalfInt(m2)))
+    jm1, jm2, d = (tj + m1) // 2, (tj - m2) // 2, (m2 - m1) // 2    # j+m1, j-m2, m2-m1
+    fact = [1]
+    for k in range(1, tj + 1):
+        fact.append(fact[-1] * k)
+    # term p: (-1)^(d+p) s^a c^b / ((j+m1-p)! p! (d+p)! (j-m2-p)!), a + b = 2j
+    ps = range(max(0, -d), min(jm2, jm1) + 1)
+    dens = [fact[jm1 - p] * fact[p] * fact[d + p] * fact[jm2 - p] for p in ps]
     if isinstance(theta, (int, Fraction)):
         s, c = sin_pi(Fraction(theta) / 2), cos_pi(Fraction(theta) / 2)
-        s_pow, c_pow = [ExactScalar(1)], [ExactScalar(1)]
-        for _ in range(tj):
-            s_pow.append(s_pow[-1] * s)
-            c_pow.append(c_pow[-1] * c)
-    else:
-        s, c = math.sin(float(theta) / 2), math.cos(float(theta) / 2)
-        s_pow, c_pow = [s ** a for a in range(tj + 1)], [c ** b for b in range(tj + 1)]
-    total = 0 * s           # the zero of s's arithmetic: exact or float
-    for p in range(lo, hi + 1):
-        a = (m2 - m1).as_int() + 2 * p
-        b = tj + (m1 - m2).as_int() - 2 * p
-        num = Fraction((-1) ** ((m2 - m1).as_int() + p),
-                       math.factorial((j + m1).as_int() - p) * math.factorial(p)
-                       * math.factorial((m2 - m1).as_int() + p)
-                       * math.factorial((j - m2).as_int() - p))
-        total = total + num * s_pow[a] * c_pow[b]
+        r = ExactScalar(1) if s.is_zero() or c.is_zero() else _HALF_SQRT2
+        sgn_s, sgn_c = (int((v / r).as_fraction()) for v in (s, c))
+        total = sum(Fraction((-1) ** (d + p) * sgn_s ** (d + 2 * p) * sgn_c ** (tj - d - 2 * p), den)
+                    for p, den in zip(ps, dens))
+        return ExactScalar.of(total) * r ** tj
+    s, c = math.sin(float(theta) / 2), math.cos(float(theta) / 2)
+    s_pow, c_pow = [s ** a for a in range(tj + 1)], [c ** b for b in range(tj + 1)]
+    total = 0 * s           # the float zero, -0.0 at negative s
+    for p, den in zip(ps, dens):
+        # +-1/den is float(Fraction(+-1, den)), the term's first factor
+        total = total + (-1) ** (d + p) / den * s_pow[d + 2 * p] * c_pow[tj - d - 2 * p]
     return total
+
+
+# (c^j_{m1} c^j_{m2}, its complex value) of wigner_D, one radical of the four
+# factorials, keyed by (2j, 2|m1|, 2|m2|) with |m1| <= |m2|, the symmetries
+# of the value; verify --deep reads 140
+_C_PAIRS_KEPT = 1024
+
+
+@lru_cache(maxsize=_C_PAIRS_KEPT)
+def _c_pair(tj: int, a: int, b: int) -> tuple:
+    f = math.factorial
+    cc = ExactScalar.sqrt_rational(f((tj + a) // 2) * f((tj - a) // 2) * f((tj + b) // 2) * f((tj - b) // 2))
+    return cc, cc.to_complex()
 
 
 def wigner_D(idx: WignerIndex, angles: EulerAngles):
@@ -185,8 +200,9 @@ def wigner_D(idx: WignerIndex, angles: EulerAngles):
     if phase is None:
         z, psi, theta, ph = angles.radians()
         phase = cmath.exp(1j * (float(idx.n) * z + float(idx.m1) * psi + float(idx.m2) * ph))
-    cc = c_factor(idx.j, idx.m1) * c_factor(idx.j, idx.m2)
-    return lift(cc, phase) * phase * little_d(idx.j, idx.m1, idx.m2, theta)
+    a, b = sorted((abs(idx.m1.twice), abs(idx.m2.twice)))
+    cc, cc_complex = _c_pair(idx.j.twice, a, b)
+    return (cc_complex if isinstance(phase, complex) else cc) * phase * little_d(idx.j, idx.m1, idx.m2, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +211,31 @@ def wigner_D(idx: WignerIndex, angles: EulerAngles):
 
 def jacobi_sum(n: int, alpha, beta, x):
     """Gamma-prefactor sum definition, rewritten over Pochhammers so every
-    term is a finite product.  PoleError if the Gamma prefactor degenerates."""
+    term is a finite product:
+    sum_m (alpha+m+1)_{n-m} (alpha+beta+n+1)_m / (m! (n-m)!) ((x-1)/2)^m.
+    Both Pochhammers are running products over m, O(n) in all.  At a
+    Fraction x = 1 + 2P/Q the sum is taken over the one denominator Q^n,
+    sum_m c_m P^m Q^{n-m} / Q^n, which is the same Fraction.  PoleError if
+    the Gamma prefactor degenerates."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     for arg in (alpha + n + 1, alpha + beta + n + 1):
         if isinstance(arg, (int, Fraction)) and Fraction(arg).denominator == 1 and arg <= 0:
             raise PoleError("degenerate Gamma prefactor at %s" % arg)
-    total = 0
+    tail = [Fraction(1)]                  # (alpha+m+1)_{n-m}, from m = n down
+    for m in range(n, 0, -1):
+        tail.append(tail[-1] * (alpha + m))
+    coeffs, head = [], Fraction(1)        # head: (alpha+beta+n+1)_m
     for m in range(n + 1):
-        term = (binomial(Fraction(n), m) / math.factorial(n)
-                * pochhammer(alpha + m + 1, n - m) * pochhammer(alpha + beta + n + 1, m))
-        total = total + term * ((x - 1) / 2) ** m
+        coeffs.append(tail[n - m] * head / (math.factorial(m) * math.factorial(n - m)))
+        head = head * (alpha + beta + n + 1 + m)
+    y = (x - 1) / 2
+    if isinstance(y, Fraction):
+        p, q = y.numerator, y.denominator
+        return sum(c * (p ** m * q ** (n - m)) for m, c in enumerate(coeffs)) / q ** n
+    total = 0
+    for m, c in enumerate(coeffs):
+        total = total + c * y ** m
     return total
 
 

@@ -185,6 +185,40 @@ def test_unwritable_block_file_is_a_config_error(tmp_path, capsys):
     assert "wrote" not in out
 
 
+def test_failed_block_write_leaves_out_as_it_was(tmp_path, capsys):
+    # the third block's file name is taken by a directory: the two blocks
+    # before it are not left behind, and a file that was there before the
+    # run (one of the run's own names, or another) keeps its contents
+    argv = ["compute", "--kind", "A1", "--jmax", "1", "--nmax", "1", "--out", str(tmp_path)]
+    (tmp_path / "block_1_0.json").mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to %s: " % tmp_path) and "block_1_0.json" in err
+    assert sorted(os.listdir(tmp_path)) == ["block_1_0.json"]
+    (tmp_path / "block_0_0.json").write_text("old")
+    (tmp_path / "notes.txt").write_text("kept")
+    assert main(argv) == 2
+    assert sorted(os.listdir(tmp_path)) == ["block_0_0.json", "block_1_0.json", "notes.txt"]
+    assert (tmp_path / "block_0_0.json").read_text() == "old"
+    assert (tmp_path / "notes.txt").read_text() == "kept"
+    # with the name free, the run writes every block and replaces the old file
+    (tmp_path / "block_1_0.json").rmdir()
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == ["block_0_0.json", "block_1_-1.json", "block_1_0.json",
+                                            "block_1_1.json", "notes.txt"]
+    assert json.loads((tmp_path / "block_0_0.json").read_text())["kind"] == "A1"
+
+
+@pytest.mark.parametrize("argv", [["compute", "--jmax", "-1"], ["compute", "--nmax=-1/2"],
+                                  ["ktypes", "--nmax", "-2"], ["ktypes", "--jmax", "1/0"]])
+def test_negative_window_bound_is_a_config_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument %s" % argv[1].split("=")[0] in err
+
+
 def test_options_a_subcommand_does_not_read_are_rejected(capsys):
     for argv in (["compute", "--trunc-order", "9"], ["verify", "--jmax", "1"],
                  ["ktypes", "--lambda", "1,1"]):

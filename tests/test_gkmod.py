@@ -707,7 +707,7 @@ def test_lambda_free_caches_are_bounded():
                               (exact.value_pair, exact._PAIRS_KEPT, 776),
                               (gkmod._half_radical, gkmod._DL_K_KEPT, 45),
                               (clebsch_gordan_j1, wigner._CG_KEPT, 315),
-                              (wigner.c_factor, wigner._C_FACTORS_KEPT, 91)):
+                              (wigner.c_factor, wigner._C_FACTORS_KEPT, 25)):
         assert cache.cache_info().maxsize == size > deep
     assert exact._KEY_PRODUCTS_KEPT > 1516
 

@@ -7,7 +7,7 @@ import pytest
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                          gamma_half, half_range, parse_scalar)
 from sp4ps.gkmod import NONCOMPACT, dr_p_action, ktypes, m_set
-from sp4ps import exact, intertwine
+from sp4ps import exact, intertwine, wigner
 from sp4ps.intertwine import (BRAID_WORD, LONG_WORD, BlockMatrix, DegenerateBlock,
                               QuadratureError, block_from_json, block_to_csv, block_to_json,
                               braid_check, closed_form_check, genfun_check, genfun_vs_product,
@@ -88,8 +88,10 @@ def test_memo_keys_keep_exact_and_complex_apart():
     # between them would hand a complex run an exact value, or the reverse
     for first, second in ((F(7, 2), 3.5 + 0j), (3.5 + 0j, F(7, 2))):
         q_ratio.cache_clear()
+        q_factor.cache_clear()
         for z in (first, second):
             want = ExactScalar if isinstance(z, F) else complex
+            assert type(q_factor(z, HalfInt(1))) is want
             assert type(q_ratio(z, HalfInt(2))) is want
             assert type(q_ratio(z, F(1, 2))) is want
             assert type(t_norm(0, 2, z)) is want
@@ -130,10 +132,25 @@ def test_operator_memos_are_bounded():
     # fixed sizes, each above what verify --deep reads at delta (0,0) and
     # seed 7 (shown beside it), so that no entry is evicted there
     for cache, size, deep in ((q_ratio, intertwine._FACTORS_KEPT, 202),
+                              (q_factor, intertwine._FACTORS_KEPT, 61),
+                              (intertwine._s00, intertwine._FACTORS_KEPT, 5),
                               (intertwine._genfun_side, intertwine._FACTORS_KEPT, 32),
                               (exact.value_pair, exact._PAIRS_KEPT, 776),
-                              (gamma_half, exact._GAMMAS_KEPT, 33)):
+                              (gamma_half, exact._GAMMAS_KEPT, 33),
+                              (wigner._c_pair, wigner._C_PAIRS_KEPT, 140)):
         assert cache.cache_info().maxsize == size > deep
+
+
+def test_closed_form_check_builds_each_factor_once():
+    # one q_factor miss per distinct (z, m4) and one S00 miss per z: the
+    # entry-by-entry check no longer rebuilds them per entry
+    zs = [F(3, 2), F(5, 2), F(7, 2), F(9, 2), F(11, 2)]
+    q_factor.cache_clear()
+    intertwine._s00.cache_clear()
+    assert closed_form_check(3, zs)
+    assert q_factor.cache_info().misses <= len(zs) * 7
+    assert intertwine._s00.cache_info().misses == len(zs)
+    assert q_factor.cache_info().hits > q_factor.cache_info().misses
 
 
 # ---------------------------------------------------------------------------

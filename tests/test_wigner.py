@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sp4ps.exact import ExactScalar, HalfInt, half_range
+from sp4ps import wigner
+from sp4ps.exact import ExactScalar, HalfInt, PoleError, binomial, half_range, pochhammer
 from sp4ps.wigner import (EulerAngles, OutOfRange, WignerIndex, c_factor,
-                          cg_product_check, clebsch_gordan_j1, d_matrix_check,
+                          cg_product_check, clebsch_gordan_j1, cos_pi, d_matrix_check,
                           dl_gamma, dr_gamma, euler_from_u2, jacobi_check,
                           jacobi_genfun_check, jacobi_hyp, jacobi_sum,
                           little_d, little_d_check, product_expand,
-                          su2_matrix, wigner_D, wigner_via_jacobi)
+                          sin_pi, su2_matrix, wigner_D, wigner_via_jacobi)
 
 _G = {
     "g0": np.array([[0.5j, 0], [0, 0.5j]]),
@@ -53,6 +54,107 @@ def test_jacobi_genfun_check():
     assert jacobi_genfun_check(3, 2, F(1, 2), 0)
     assert jacobi_genfun_check(2, 1, F(1, 2), 3)
     assert jacobi_genfun_check(-1, 3, F(0), 4)
+
+
+def _jacobi_sum_per_term(n, alpha, beta, x):
+    """jacobi_sum as first written: each term's binomial and Pochhammers
+    built from scratch, then times ((x-1)/2)^m."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    for arg in (alpha + n + 1, alpha + beta + n + 1):
+        if isinstance(arg, (int, F)) and F(arg).denominator == 1 and arg <= 0:
+            raise PoleError("degenerate Gamma prefactor at %s" % arg)
+    total = 0
+    for m in range(n + 1):
+        term = (binomial(F(n), m) / math.factorial(n)
+                * pochhammer(alpha + m + 1, n - m) * pochhammer(alpha + beta + n + 1, m))
+        total = total + term * ((x - 1) / 2) ** m
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (PoleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_jacobi_sum_matches_the_per_term_formula(rng):
+    # the running products and the one denominator give the same Fraction,
+    # and the same PoleError and ValueError, at x of small denominators and
+    # at the binary-exact cos(theta) that wigner_via_jacobi passes
+    kinds = []
+    while kinds.count(F) < 500:
+        n = rng.randrange(-1, 11)
+        al = F(rng.randrange(-12, 7), rng.choice([1, 1, 2, 3]))
+        be = F(rng.randrange(-12, 7), rng.choice([1, 1, 2, 3]))
+        x = rng.choice([F(rng.randrange(-9, 10), rng.choice([1, 2, 3, 4, 5])),
+                        F(math.cos(rng.uniform(0, math.pi)))])
+        got, want = _outcome(jacobi_sum, n, al, be, x), _outcome(_jacobi_sum_per_term, n, al, be, x)
+        assert got == want and type(got) is type(want), (n, al, be, x)
+        kinds.append(want[0] if isinstance(want, tuple) else F)
+    assert {PoleError, ValueError} <= set(kinds)
+
+
+def _little_d_per_term(j, m1, m2, theta):
+    """little_d as first written: HalfInt arithmetic and four factorials
+    in every term, each term a product of the powers of sin and cos."""
+    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
+    lo = max(0, (m1 - m2).as_int())
+    hi = min((j - m2).as_int(), (j + m1).as_int())
+    tj = (j + j).as_int()
+    if isinstance(theta, (int, F)):
+        s, c = sin_pi(F(theta) / 2), cos_pi(F(theta) / 2)
+        s_pow, c_pow = [ExactScalar(1)], [ExactScalar(1)]
+        for _ in range(tj):
+            s_pow.append(s_pow[-1] * s)
+            c_pow.append(c_pow[-1] * c)
+    else:
+        s, c = math.sin(float(theta) / 2), math.cos(float(theta) / 2)
+        s_pow, c_pow = [s ** a for a in range(tj + 1)], [c ** b for b in range(tj + 1)]
+    total = 0 * s
+    for p in range(lo, hi + 1):
+        a = (m2 - m1).as_int() + 2 * p
+        b = tj + (m1 - m2).as_int() - 2 * p
+        num = F((-1) ** ((m2 - m1).as_int() + p),
+                math.factorial((j + m1).as_int() - p) * math.factorial(p)
+                * math.factorial((m2 - m1).as_int() + p)
+                * math.factorial((j - m2).as_int() - p))
+        total = total + num * s_pow[a] * c_pow[b]
+    return total
+
+
+def test_little_d_matches_the_per_term_formula(rng):
+    # exact: every entry of j <= 7 at every quarter turn theta (mod 4 pi),
+    # term for term; float: the same bits, negative and large angles too
+    for tj in range(0, 15):
+        j = HalfInt(tj)
+        for m1 in half_range(-j, j):
+            for m2 in half_range(-j, j):
+                for k in range(-1, 8):
+                    got, want = little_d(j, m1, m2, F(k, 2)), _little_d_per_term(j, m1, m2, F(k, 2))
+                    assert got.terms == want.terms, (j, m1, m2, k)
+                    assert list(got.terms) == list(want.terms)
+                for th in (rng.uniform(0, math.pi), rng.uniform(-7, 7), 0.0, -0.0, math.pi):
+                    got, want = little_d(j, m1, m2, th), _little_d_per_term(j, m1, m2, th)
+                    assert got.hex() == want.hex(), (j, m1, m2, th)
+    for bad in ((1, 2, 0), (1, 0, -2), (1, F(1, 2), 0), (F(1, 2), F(1, 2), 1)):
+        with pytest.raises(ValueError):
+            little_d(*bad, F(1, 2))
+
+
+def test_c_pair_is_the_c_factor_product():
+    # wigner_D's memo of c^j_{m1} c^j_{m2} holds the product of the two
+    # c_factor values, term for term, and its complex value to the bit
+    for tj in range(0, 15):
+        j = HalfInt(tj)
+        for m1 in half_range(-j, j):
+            for m2 in half_range(-j, j):
+                a, b = sorted((abs(m1.twice), abs(m2.twice)))
+                cc, cc_complex = wigner._c_pair(tj, a, b)
+                want = c_factor(j, m1) * c_factor(j, m2)
+                assert cc.terms == want.terms
+                assert repr(cc_complex) == repr(want.to_complex())
 
 
 # ---------------------------------------------------------------------------
