@@ -25,6 +25,15 @@ layer) is held as one (scratch form, complex) pair per value
 (``value_pair``, a bounded memo), which ``Scratch.form`` and
 ``Complex.form`` index.  An exact constant enters a float computation only
 through ``lift`` (or ``Complex.lift``).
+
+One memo rule holds for the package: every value memo, here and in
+``wigner``, ``gkmod`` and ``intertwine``, is ``_memo``, an ``lru_cache`` of
+the last ``_KEPT`` arguments with typed keys, so that an exact argument and
+a complex one of equal value (7/2 and 3.5+0j hash alike) never share an
+entry.  ``_KEPT`` holds every value one ``verify --deep`` character reads.
+The one other bound is ``gkmod._TABLES_KEPT``, the per-character generator
+tables.  ``_KEY_PRODUCTS`` is a plain dict, read inline by the hot loop, and
+starts again from empty when it holds ``_KEPT`` pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+_KEPT = 8192
+_memo = lru_cache(maxsize=_KEPT, typed=True)
 
 
 class PoleError(ArithmeticError):
@@ -189,11 +201,8 @@ def _radical_product(k1, k2):
     return (r, p1 + p2, i1 != i2), f
 
 
-# The memo of _radical_product, {(k1, k2): (key, f)}.  Only a few dozen
-# radical keys occur in a run, so it holds every pair verify --deep meets;
-# it starts again from empty if it ever fills.
+# The memo of _radical_product, {(k1, k2): (key, f)}.
 _KEY_PRODUCTS = {}
-_KEY_PRODUCTS_KEPT = 4096
 
 
 def _key_product(k1, k2):
@@ -201,7 +210,7 @@ def _key_product(k1, k2):
     product rule of ``ExactScalar.__mul__`` and ``Scratch.mul_acc``."""
     kf = _KEY_PRODUCTS.get((k1, k2))
     if kf is None:
-        if len(_KEY_PRODUCTS) >= _KEY_PRODUCTS_KEPT:
+        if len(_KEY_PRODUCTS) >= _KEPT:
             _KEY_PRODUCTS.clear()
         kf = _KEY_PRODUCTS[k1, k2] = _radical_product(k1, k2)
     return kf
@@ -535,12 +544,8 @@ class Complex:
     settle = freeze
 
 
-# keyed by the value's items in key order, which fix the complex value's
-# bits; verify --deep reads 776 (632 CG products and 148 S terms, 4 shared)
-_PAIRS_KEPT = 4096
-
-
-@lru_cache(maxsize=_PAIRS_KEPT)
+# keyed by the value's items in key order, which fix the complex value's bits
+@_memo
 def value_pair(items: tuple) -> tuple:
     """The value with these (radical key, (numerator, denominator)) items
     as the pair (scratch form, complex) that ``Scratch.form`` and
@@ -621,12 +626,8 @@ def _one_like(a):
     return Fraction(1) if isinstance(a, (int, Fraction)) else a * 0 + 1
 
 
-# keyed by the argument as given (typed; verify --deep reads 33): the
-# operator layer's memos share its values
-_GAMMAS_KEPT = 1024
-
-
-@lru_cache(maxsize=_GAMMAS_KEPT, typed=True)
+# keyed by the argument as given: the operator layer's memos share its values
+@_memo
 def gamma_half(a) -> ExactScalar:
     """Gamma at a half-integer argument, as rational * sqrt(pi)^p.
 

@@ -47,10 +47,10 @@ m2).  A U-row comes from ``_dl_k_cached``, the compact action in closed
 form on twice-values: U0 = i n and U3 = i m1, and U1, U2 from the m1
 ladders g+- (``wigner.dl_gamma`` is the independent route the tests
 compare with); its coefficients take a few dozen values, each one
-ExactScalar (``_half_radical``).  These lambda-free caches (and the Clebsch-Gordan values and
-ladder factors below them) are keyed by spins from the window; each has a
-fixed size that holds what ``verify --deep`` reads.  No skeleton or row is
-built at import.
+ExactScalar (``_half_radical``).  These lambda-free caches, and the
+Clebsch-Gordan values and ladder factors below them, are keyed by spins
+from the window and follow the one memo rule of ``exact``.  No skeleton or
+row is built at import.
 
 Linear combinations are dicts {basis index: coefficient}.  dl of an
 element, of the Casimir and of a bracket are summed over ids by one
@@ -78,7 +78,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sp4
-from .exact import Character, ExactScalar, HalfInt, Scratch, _merge, _square_split, half_range, lift, value_pair
+from .exact import (Character, ExactScalar, HalfInt, Scratch, _memo, _merge, _square_split, half_range, lift,
+                    value_pair)
 from .sp4 import Cyc8, GMat, decompose_chevalley, omega2_words
 from .wigner import OutOfRange, WignerIndex, clebsch_gordan_j1
 
@@ -127,13 +128,6 @@ def ktype_basis(j, n, delta) -> list[WignerIndex]:
     """The basis vectors of the K-type (j,n): m2 over m_set, m1 over -j..j."""
     j = HalfInt.of(j)
     return [WignerIndex.of(j, n, m1, m2) for m2 in m_set(j, n, delta) for m1 in half_range(-j, j)]
-
-
-def check_index(v: WignerIndex, delta) -> bool:
-    """Is v an admissible basis index of C_delta(K)?"""
-    if not ktype_allowed(v.j, v.n, delta):
-        return False
-    return v.m2 in m_set(v.j, v.n, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +198,8 @@ def lc_scale(a: dict, c) -> dict:
 # left action of p_C
 # ---------------------------------------------------------------------------
 
-# The lambda-free caches below are keyed by spins, so their size follows the
-# window; each holds every key verify --deep reads, with room to spare.
-_CG_KEPT = 1024
-_LADDER_KEPT = 256
-_SKELETONS_KEPT = 4096
-_DL_K_KEPT = 8192
-
-
 # keyed by twice j and twice m1: it does not depend on lambda
-@lru_cache(maxsize=_CG_KEPT)
+@_memo
 def _cg(tj: int, tm1: int, m2: int, j0: int) -> dict:
     """<j+j0, m1+m2 | j, m1, 1, m2> in integer scratch form; {} out of range."""
     try:
@@ -228,7 +214,7 @@ _I = ExactScalar.i_power(1)
 
 
 # keyed by twice j and twice m2: it does not depend on lambda
-@lru_cache(maxsize=_LADDER_KEPT)
+@_memo
 def _ladder(tj: int, tm2: int) -> ExactScalar:
     """-i sqrt((j - m2)(j + m2 + 1)), the m2-ladder factor of dr(u_nu)."""
     return -_I * ExactScalar.sqrt_rational((tj - tm2) * (tj + tm2 + 2) // 4)
@@ -275,9 +261,9 @@ def dl_p_action(beta, v: WignerIndex, chi: Character) -> dict:
 
 
 # keyed by (catalog label, basis vector, chi): the settled view of one row of
-# chi's table, for dl_p_action.  Bounded, so that it does not grow across
-# characters; the cached dicts are shared, and dl_p_action hands out copies.
-@lru_cache(maxsize=1024)
+# chi's table, for dl_p_action.  The cached dicts are shared, and
+# dl_p_action hands out copies.
+@_memo
 def _dl_p_cached(lab: tuple, v: WignerIndex, chi: Character) -> dict:
     table = _table(chi)
     return table.settle(table.row(lab, table.id(v)))
@@ -296,7 +282,7 @@ def dl_k_action(gen, v: WignerIndex) -> dict:
 
 # keyed by (catalog label ("U", i), basis vector): a compact action does not
 # depend on lambda.  Shared like _dl_p_cached.
-@lru_cache(maxsize=_DL_K_KEPT)
+@_memo
 def _dl_k_cached(lab: tuple, v: WignerIndex) -> dict:
     """dl of ("U", i) on v in closed form, from the twice-values: U0 = i n
     and U3 = i m1 are diagonal; g+- move m1 to m1 +- 1 with the factor
@@ -320,7 +306,7 @@ def _dl_k_cached(lab: tuple, v: WignerIndex) -> dict:
 
 
 # keyed by the value: compact rows take a few dozen values, shared by all
-@lru_cache(maxsize=_DL_K_KEPT)
+@_memo
 def _half_radical(num: int, f: int, im: bool) -> ExactScalar:
     """(num/2) sqrt(f) i^im."""
     return ExactScalar(Fraction(num, 2), f, 0, im)
@@ -332,7 +318,7 @@ def _half_radical(num: int, f: int, im: bool) -> ExactScalar:
 
 # keyed by (catalog label, twice j, twice m1, twice m2): shared across n,
 # delta and characters
-@lru_cache(maxsize=_SKELETONS_KEPT)
+@_memo
 def _skeleton(lab: tuple, tj: int, tm1: int, tm2: int) -> tuple:
     """The lambda-free part of the u-row of ``lab`` on a vector of
     twice-values (j, n, m1, m2): ((dr-term index, target twice-values
@@ -409,11 +395,12 @@ class _Table:
         return {vecs[i]: settle(c) for i, c in items}
 
 
-# A table lives while it is among the last _TABLES_KEPT characters used.
+# A table lives while it is among the last _TABLES_KEPT characters used: the
+# one bound besides exact._KEPT, since the tables are the per-character state.
 _TABLES_KEPT = 8
 
 
-@lru_cache(maxsize=_TABLES_KEPT)
+@lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def _table(chi: Character) -> _Table:
     return _Table(chi)
 
@@ -545,7 +532,7 @@ def dl_word(word, v: WignerIndex, chi: Character) -> dict:
     return lc
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _omega2_form(arith) -> tuple:
     """The Casimir collected in the catalog basis, as (inner, outer) pairs:
     omega2 = sum of outer * inner, where inner is the catalog label applied

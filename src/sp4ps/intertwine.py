@@ -21,21 +21,21 @@ genfun route runs without the product and genfun_check compares the two
 entry by entry.  Both routes compute a block as a whole: a factor that
 depends on one index only (a row, a column, an m4 or a p) is built once per
 block.  A factor that depends on lambda and the spin but not on n is built
-once per character and kept in a bounded memo: q_ratio(z, m) (the S blocks
+once per character and kept in a memo: q_ratio(z, m) (the S blocks
 of A1 and A3, t_norm of A2 and A4, the generating function's A2 pair and A4
 column), and the generating function's m1-only t-series coefficients,
 eps jets and Gamma values (_genfun_side); its m2-only factors are the same
 list mirrored (m -> -m, lambda2 -> -lambda2, p -> j-eps-p).  The unnormalized
 Q(z, m4) of s_entry_sum (q_factor) and the closed form's S00(z) (_s00)
-have bounded memos of their own, so that a check which builds its entries
-one at a time builds each factor once per argument.  Their keys
-keep an exact argument and a complex one of equal value apart, and
-gamma_half's own memo lets them share its values.  The lambda-free S
-terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built once per spin (_s_terms),
-with one (scratch, complex) pair per distinct value (exact.value_pair), and S
-entries and block products are summed in the arithmetic of their entries,
-``exact.Scratch`` (integer scratch form, each entry settled once) or
-``exact.Complex``, by one loop each.
+have memos of their own, so that a check which builds its entries one at a
+time builds each factor once per argument.  Every memo follows the one rule
+of ``exact`` (``exact._memo``), whose typed keys keep an exact argument and a
+complex one of equal value apart, and gamma_half's own memo lets them share
+its values.  The lambda-free S terms i^{-2 m4} M_{m3,m4} N_{m4,m2} are built
+once per spin (_s_terms), with one (scratch, complex) pair per distinct value
+(exact.value_pair), and S entries and block products are summed in the
+arithmetic of their entries, ``exact.Scratch`` (integer scratch form, each
+entry settled once) or ``exact.Complex``, by one loop each.
 
 Every Gamma ratio of the layer (Q, S00, the half-odd Pochhammer pair and
 the closed form's prefactor) is one call of _gamma_ratio, exact at
@@ -61,9 +61,9 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
-from .exact import (Character, Complex, ExactScalar, HalfInt, PoleError, Scratch, UnsupportedExactInput,
+from .exact import (Character, Complex, ExactScalar, HalfInt, PoleError, Scratch, UnsupportedExactInput, _memo,
                     gamma_half, half_range, hyp_terms, lift, pochhammer, require_finite, value_pair)
 from .gkmod import m_set
 from .laurent import LSeries1, binom_series, hyp2f1_series, product_coeff
@@ -203,15 +203,7 @@ def _pole_index(a):
     return -a.as_int() if a.is_integer() and a.as_int() <= 0 else None
 
 
-# The lambda-only factors (q_factor, q_ratio, _s00, _genfun_side) are kept
-# for the last _FACTORS_KEPT arguments of each; verify --deep reads 61
-# q_factor, 202 q_ratio, 5 S00 and 32 genfun lists.  typed=True keeps an
-# exact argument and a complex one of equal value (7/2 and 3.5+0j hash
-# alike) apart.
-_FACTORS_KEPT = 1024
-
-
-@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
+@_memo
 def q_factor(z, nu):
     """Q(z,nu) = pi 2^{2-2z} Gamma(2z-1) / (Gamma(z+nu) Gamma(z-nu)).
 
@@ -234,7 +226,7 @@ def q_factor(z, nu):
     return lift(ExactScalar(1, 1, 2), z) * 2 ** (2 - 2 * z) * gam
 
 
-@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
+@_memo
 def q_ratio(z, m):
     """Q(z,m)/Q(z,0) = Gamma(z)^2/(Gamma(z+m)Gamma(z-m)) = 1/((z)^(m) (z)^(-m)),
     also the Pochhammer pair of t_norm and the generating function.
@@ -272,12 +264,7 @@ _M_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(3, 2), Fraction(1,
 _N_ANGLES = EulerAngles.pi_units(0, Fraction(-1, 2), Fraction(-3, 2), Fraction(1, 2))
 
 
-# The spin tables (mn_matrices, _s_terms) are kept for the last
-# _SPINS_KEPT spins used; verify --deep reads 13.
-_SPINS_KEPT = 32
-
-
-@lru_cache(maxsize=_SPINS_KEPT)
+@_memo
 def mn_matrices(j) -> tuple[BlockMatrix, BlockMatrix]:
     """M and N: Wigner D-values of exp(-+(3 pi/2) U1); N is the exact
     inverse of M."""
@@ -291,7 +278,7 @@ def mn_matrices(j) -> tuple[BlockMatrix, BlockMatrix]:
             BlockMatrix((j, None), ms, ms, n_rows))
 
 
-@lru_cache(maxsize=_SPINS_KEPT)
+@_memo
 def _s_terms(j: HalfInt) -> list:
     """The lambda-free terms of _s_block at spin j, built once per spin:
     ``terms[a][k]`` is, for the a-th m3 and the k-th m2 of -j..j, the tuple
@@ -417,7 +404,7 @@ def _jet_value(total: LSeries1, what: str) -> Fraction:
 # closed-form S (terminating 3F2)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_FACTORS_KEPT)
+@_memo
 def _s00(z: Fraction) -> ExactScalar:
     """S^{(0,n)}_{0,0}(z) = sqrt(pi) Gamma(z-1/2)/Gamma(z)."""
     return ExactScalar(1, 1, 1) * _gamma_ratio([(z - Fraction(1, 2), 1)], [(z, 1)],
@@ -519,9 +506,8 @@ BRAID_WORD = ("a2", "a1", "a2", "a1")
 Stage = namedtuple("Stage", "name reflection source target argument")
 
 
-# kept for the last 32 (word, chi) pairs: the product and the generating
-# function read them once per block
-@lru_cache(maxsize=32)
+# the product and the generating function read them once per block
+@_memo
 def word_stages(word: tuple, chi: Character) -> tuple:
     """The stages of word from chi, in the order they act: at (delta_s, mu),
     a1 has the argument (mu1-mu2+1)/2, a2 (mu2+1)/2, and both land at
@@ -667,7 +653,7 @@ def _genfun_raw_block(j, n, delta, rows, cols, lam) -> list:
     return out
 
 
-@lru_cache(maxsize=_FACTORS_KEPT, typed=True)
+@_memo
 def _genfun_side(jj: int, a: int, eps: int, l1: Fraction, l2: Fraction) -> tuple:
     """The m1-only factors of _genfun_raw_block at m1 = a, per p: the
     coefficient of the t1 series times its eps-jet Pochhammer, and the

@@ -66,25 +66,6 @@ class Cyc8:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Cyc8":
-        a, b, c, d = self.c
-        return Cyc8(a, -d, -c, -b)
-
-    def inverse(self) -> "Cyc8":
-        # 1/z = conj(z) * conj_pair(z...) ; use z * zbar = |z|^2 in Q(sqrt2),
-        # then rationalize the sqrt2 part.
-        zb = self.conjugate()
-        m = self * zb          # real: a + b*sqrt2 form = x + y(w - w^3)
-        a = m.c[0]
-        y = m.c[1]
-        assert m.c[1] == -m.c[3] and m.c[2] == 0, "not real: %s" % (m,)
-        # (a + y*sqrt2)(a - y*sqrt2) = a^2 - 2 y^2
-        den = a * a - 2 * y * y
-        if den == 0:
-            raise ZeroDivisionError("Cyc8 inverse of zero")
-        conj2 = Cyc8(a, -y, 0, y)   # a - y*sqrt2
-        return zb * conj2 * Cyc8(Fraction(1) / den)
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c)
 
@@ -252,12 +233,6 @@ def root_on_h(label: str) -> tuple[int, int]:
         c = base[label[1:]]
         return (-c[0], -c[1])
     return base[label]
-
-
-def coroot_matrix(label: str) -> GMat:
-    """H_alpha = [X_alpha, X_{-alpha}] for a simple root."""
-    x = chevalley(label)
-    return bracket(x, x.transpose())
 
 
 def u2_generators() -> tuple[GMat, GMat, GMat, GMat]:

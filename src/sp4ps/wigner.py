@@ -4,7 +4,8 @@ actions on matrix coefficients.
 
 Exact evaluation is supported at quarter-turn angles (integer multiples of
 pi/2, where sin/cos of half-angles lie in {0, +-1, +-1/sqrt2}); everything
-else runs on the complex float path.
+else runs on the complex float path.  The factorial radicals and the
+Clebsch-Gordan values are kept by the one memo rule of ``exact``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact import ExactScalar, HalfInt, PoleError, binomial, half_range, hyp_terminating
+from .exact import ExactScalar, HalfInt, PoleError, _memo, binomial, half_range, hyp_terminating
 from .laurent import binom_series, product_coeff
 
 
@@ -124,11 +124,7 @@ class WignerIndex:
         return "W[(%s,%s);%s,%s]" % (self.j, self.n, self.m1, self.m2)
 
 
-# keyed by (j, m) from the window; verify --deep reads 25
-_C_FACTORS_KEPT = 1024
-
-
-@lru_cache(maxsize=_C_FACTORS_KEPT)
+@_memo
 def c_factor(j: HalfInt, m: HalfInt) -> ExactScalar:
     """c^j_m = sqrt((j+m)!(j-m)!)."""
     return ExactScalar.sqrt_rational(
@@ -176,11 +172,8 @@ def little_d(j, m1, m2, theta):
 
 # (c^j_{m1} c^j_{m2}, its complex value) of wigner_D, one radical of the four
 # factorials, keyed by (2j, 2|m1|, 2|m2|) with |m1| <= |m2|, the symmetries
-# of the value; verify --deep reads 140
-_C_PAIRS_KEPT = 1024
-
-
-@lru_cache(maxsize=_C_PAIRS_KEPT)
+# of the value
+@_memo
 def _c_pair(tj: int, a: int, b: int) -> tuple:
     f = math.factorial
     cc = ExactScalar.sqrt_rational(f((tj + a) // 2) * f((tj - a) // 2) * f((tj + b) // 2) * f((tj - b) // 2))
@@ -286,11 +279,7 @@ def wigner_via_jacobi(idx_j, m1, m2, theta):
 # Clebsch-Gordan (V^j tensor V^1)
 # ---------------------------------------------------------------------------
 
-# keyed by spins from the window; holds every key verify --deep reads
-_CG_KEPT = 1024
-
-
-@lru_cache(maxsize=_CG_KEPT)
+@_memo
 def clebsch_gordan_j1(j, m1, m2: int, j0: int) -> ExactScalar:
     """<j+j0, m1+m2 | j, m1, 1, m2> from the nine-entry table."""
     j, m1 = HalfInt.of(j), HalfInt.of(m1)
@@ -404,16 +393,25 @@ def dl_gamma(gen: str, idx: WignerIndex) -> dict:
 
 def jacobi_genfun_check(alpha: int, beta: int, x, order: int) -> bool:
     """Does (1+(x+1)t/2)^alpha (1+(x-1)t/2)^beta match
-    sum_n P^{(alpha-n,beta-n)}_n(x) t^n through the given order?"""
+    sum_n P^{(alpha-n,beta-n)}_n(x) t^n through the given order?  A
+    ValueError where neither Jacobi definition applies."""
     x = Fraction(x)
     f1 = binom_series(alpha, (x + 1) / 2, order)
     f2 = binom_series(beta, (x - 1) / 2, order)
     for nn in range(order + 1):
-        # the two definitions degenerate on complementary parameter sets
+        # jacobi_sum refuses where its Gamma prefactor has a pole (alpha < 0
+        # or nn > alpha + beta), jacobi_hyp where its bottom parameter
+        # alpha - nn + 1 reaches 0 before a top one; both refuse exactly at
+        # alpha >= 0 > beta, nn > alpha
+        a, b = Fraction(alpha - nn), Fraction(beta - nn)
         try:
-            expect = jacobi_sum(nn, Fraction(alpha - nn), Fraction(beta - nn), x)
+            expect = jacobi_sum(nn, a, b, x)
         except PoleError:
-            expect = jacobi_hyp(nn, Fraction(alpha - nn), Fraction(beta - nn), x)
+            try:
+                expect = jacobi_hyp(nn, a, b, x)
+            except PoleError:
+                raise ValueError("neither Jacobi definition applies at n=%d, alpha=%s, beta=%s"
+                                 % (nn, a, b)) from None
         if product_coeff(f1, f2, nn) != expect:
             return False
     return True

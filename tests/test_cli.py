@@ -317,7 +317,7 @@ def test_verify_mixed_delta_checks_casimir_and_bracket(capsys, monkeypatch):
     # cells must be built from those K-types, and genfun does not apply
     suites = dict(_suites(5, False, Character((0, 1), (F(7, 2), F(1, 2)))))
     vectors = suites["bracket"][0][2][2]
-    assert vectors and all(gkmod.check_index(v, (0, 1)) for v in vectors)
+    assert vectors and all(v.m2 in gkmod.m_set(v.j, v.n, (0, 1)) for v in vectors)
     assert suites["casimir"] and all(check is gkmod.casimir_check and args[0]
                                      for _name, check, args in suites["casimir"])
     monkeypatch.setattr(sp4, "hc_omega2", lambda lam: F(1, 2))

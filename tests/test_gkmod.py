@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sp4ps import exact, gkmod, wigner
+from sp4ps import exact, gkmod
 from sp4ps.exact import Character, ExactScalar, HalfInt, lift
 from sp4ps.gkmod import (NONCOMPACT, DecompositionError, action_matrix_json, bracket_check, casimir_check,
-                         check_index, chevalley_element,
+                         chevalley_element,
                          cyc8_to_rsum, dl_element, dl_k_action, dl_p_action,
                          dl_word, dr_p_action, gmat_to_element, ktype_allowed,
                          ktype_basis, ktypes, lc_add, lc_scale, m_set,
@@ -80,7 +80,8 @@ def test_m_set_is_the_parity_definition():
 def test_half_integer_ktypes():
     rows = ktypes((0, 1), F(3, 2), F(3, 2))
     assert all(not j.is_integer() and not n.is_integer() for j, n, _ in rows)
-    assert check_index(WignerIndex.of(F(3, 2), F(1, 2), F(1, 2), F(1, 2)), (0, 1)) in (True, False)
+    v = WignerIndex.of(F(3, 2), F(1, 2), F(1, 2), F(1, 2))
+    assert v.m2 in m_set(v.j, v.n, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_dl_structure():
         assert tgt.n.as_int() == 1
         assert tgt.m1 == v.m1
         assert abs(tgt.j.as_int() - 2) <= 1
-        assert check_index(tgt, CHI.delta)
+        assert tgt.m2 in m_set(tgt.j, tgt.n, CHI.delta)
 
 
 def test_dl_word_empty_and_errors():
@@ -250,7 +251,7 @@ def test_casimir_mixed_delta():
     # the action tables never reference delta, so the scalar holds on the
     # half-integer-spin module too
     v = WignerIndex.of(F(3, 2), F(1, 2), F(1, 2), F(1, 2))
-    assert check_index(v, (0, 1))
+    assert v.m2 in m_set(v.j, v.n, (0, 1))
     assert casimir_check([v], Character((0, 1), (F(3), F(2))))   # scalar 2/3
 
 
@@ -676,7 +677,7 @@ def test_key_product_memo_matches_the_rule(rng):
         x, y = (_chevalley_sum([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(10)]) for _ in range(2))
         assert bracket_check(x, y, vecs, chi)
     seen = dict(exact._KEY_PRODUCTS)
-    assert 16 <= len(seen) < exact._KEY_PRODUCTS_KEPT
+    assert 16 <= len(seen) < exact._KEPT
 
     def value(key):
         r, p, im = key
@@ -688,7 +689,7 @@ def test_key_product_memo_matches_the_rule(rng):
 
 
 def test_key_product_memo_empties_when_full(monkeypatch):
-    monkeypatch.setattr(exact, "_KEY_PRODUCTS_KEPT", 3)
+    monkeypatch.setattr(exact, "_KEPT", 3)
     exact._KEY_PRODUCTS.clear()
     keys = [(r, 0, im) for r in (1, 2, 3, 6) for im in (False, True)]
     for k1 in keys:
@@ -696,20 +697,6 @@ def test_key_product_memo_empties_when_full(monkeypatch):
             assert exact._key_product(k1, k2) == exact._radical_product(k1, k2)
             assert len(exact._KEY_PRODUCTS) <= 3
     exact._KEY_PRODUCTS.clear()
-
-
-def test_lambda_free_caches_are_bounded():
-    # fixed sizes, each above what verify --deep reads at delta (0,0) and
-    # seed 7 (shown beside it), so that no entry is evicted there
-    for cache, size, deep in ((gkmod._cg, gkmod._CG_KEPT, 278), (gkmod._ladder, gkmod._LADDER_KEPT, 36),
-                              (gkmod._dl_k_cached, gkmod._DL_K_KEPT, 6060),
-                              (gkmod._skeleton, gkmod._SKELETONS_KEPT, 1584),
-                              (exact.value_pair, exact._PAIRS_KEPT, 776),
-                              (gkmod._half_radical, gkmod._DL_K_KEPT, 45),
-                              (clebsch_gordan_j1, wigner._CG_KEPT, 315),
-                              (wigner.c_factor, wigner._C_FACTORS_KEPT, 25)):
-        assert cache.cache_info().maxsize == size > deep
-    assert exact._KEY_PRODUCTS_KEPT > 1516
 
 
 # SHA-256 of the module-layer outputs, recorded before the hot path was

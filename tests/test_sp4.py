@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sp4ps.sp4 import (ALL_ROOTS, CY_I, Cyc8, GMat, H1, H2, bracket,
-                       cayley_check, chevalley, chi_alpha, coroot_matrix,
+from sp4ps.sp4 import (ALL_ROOTS, CY_I, CY_INV_SQRT2, Cyc8, GMat, H1, H2, bracket,
+                       cayley_check, chevalley, chi_alpha,
                        decompose_chevalley,
                        h_alpha, hc_omega2, hc_omega4, in_sp4, is_symplectic,
                        iwasawa_exact_check, iwasawa_float_check, iwasawa_sl2, omega2_words, root_on_h,
@@ -19,10 +19,6 @@ def test_cyc8_field():
     w = Cyc8(0, 1, 0, 0)
     assert w * w == CY_I
     assert w * w * w * w == Cyc8(-1)
-    a = Cyc8(F(1, 2), F(-2, 3), F(1), F(3))
-    assert a * a.inverse() == Cyc8(1)
-    assert abs(a.to_complex() * a.inverse().to_complex() - 1) < 1e-12
-    assert a.conjugate().to_complex() == pytest.approx(a.to_complex().conjugate())
 
 
 def test_chevalley_matrices_and_brackets():
@@ -36,8 +32,8 @@ def test_chevalley_matrices_and_brackets():
     assert in_sp4(H1) and in_sp4(H2)
     # nilpotent commutes inside the Heisenberg radical
     assert bracket(chevalley("a1+a2"), chevalley("2a1+a2")).is_zero()
-    assert coroot_matrix("a2") == H2
-    assert coroot_matrix("a1") == H1 - H2
+    assert bracket(chevalley("a2"), chevalley("-a2")) == H2
+    assert bracket(chevalley("a1"), chevalley("-a1")) == H1 - H2
 
 
 def test_u2_generators():
@@ -139,8 +135,7 @@ def test_symplectic_inverse():
 
 def test_u_beta_normalization():
     U0, U1, U2, U3 = u2_generators()
-    sq2 = Cyc8(0, 1, 0, -1)
-    assert u_beta(1, 1) == ((U0 + U3) + H1.scale(CY_I) - chevalley("2a1+a2").scale(2)).scale(sq2.inverse())
+    assert u_beta(1, 1) == ((U0 + U3) + H1.scale(CY_I) - chevalley("2a1+a2").scale(2)).scale(CY_INV_SQRT2)
     assert u_beta(0, 1) == v_beta(0, 1)
     # weights: [U3, u] = i m u and [U0, u] = i n u
     for (mb, nb) in ((1, 1), (-1, -1), (-1, 1), (1, -1), (0, 1), (0, -1)):

@@ -54,6 +54,9 @@ def test_jacobi_genfun_check():
     assert jacobi_genfun_check(3, 2, F(1, 2), 0)
     assert jacobi_genfun_check(2, 1, F(1, 2), 3)
     assert jacobi_genfun_check(-1, 3, F(0), 4)
+    # at alpha >= 0 > beta and degree n > alpha both definitions refuse
+    with pytest.raises(ValueError, match=r"neither Jacobi definition applies at n=1, alpha=-1, beta=-2"):
+        jacobi_genfun_check(0, -1, F(1, 2), 1)
 
 
 def _jacobi_sum_per_term(n, alpha, beta, x):
