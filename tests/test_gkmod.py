@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sp4ps import exact, gkmod
+from sp4ps import exact, gkmod, wigner
 from sp4ps.exact import Character, ExactScalar, HalfInt, lift
 from sp4ps.gkmod import (NONCOMPACT, DecompositionError, action_matrix_json, bracket_check, casimir_check,
                          chevalley_element,
@@ -697,6 +697,16 @@ def test_key_product_memo_empties_when_full(monkeypatch):
             assert exact._key_product(k1, k2) == exact._radical_product(k1, k2)
             assert len(exact._KEY_PRODUCTS) <= 3
     exact._KEY_PRODUCTS.clear()
+
+
+def test_lambda_free_caches_are_bounded():
+    # the one memo bound, above what verify --deep reads at delta (0,0) and
+    # seed 7 (shown beside each memo), so that no entry is evicted there
+    for cache, deep in ((gkmod._cg, 278), (gkmod._ladder, 36), (gkmod._dl_k_cached, 6060),
+                        (gkmod._skeleton, 1584), (exact.value_pair, 776), (gkmod._half_radical, 45),
+                        (clebsch_gordan_j1, 315), (wigner.c_factor, 25)):
+        assert cache.cache_info().maxsize == exact._KEPT > deep
+    assert exact._KEPT > 1516
 
 
 # SHA-256 of the module-layer outputs, recorded before the hot path was

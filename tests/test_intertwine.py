@@ -7,7 +7,7 @@ import pytest
 from sp4ps.exact import (Character, ExactScalar, HalfInt, PoleError, UnsupportedExactInput,
                          gamma_half, half_range, parse_scalar)
 from sp4ps.gkmod import NONCOMPACT, dr_p_action, ktypes, m_set
-from sp4ps import exact, intertwine
+from sp4ps import exact, intertwine, wigner
 from sp4ps.intertwine import (BRAID_WORD, LONG_WORD, BlockMatrix, DegenerateBlock,
                               QuadratureError, block_from_json, block_to_csv, block_to_json,
                               braid_check, closed_form_check, genfun_check, genfun_vs_product,
@@ -118,8 +118,23 @@ def test_mn_trivial():
     assert N.entries[0][0] == ExactScalar(1)
 
 
+def test_spin_caches_are_bounded():
+    # the one memo bound holds the 13 spins verify --deep reads
+    for cache in (mn_matrices, intertwine._s_terms):
+        assert cache.cache_info().maxsize == exact._KEPT >= 13
+
+
 # the memos of the operator layer that hold values, not tables
 OPERATOR_MEMOS = (q_ratio, intertwine._genfun_side, exact.value_pair, gamma_half)
+
+
+def test_operator_memos_are_bounded():
+    # the one memo bound, above what verify --deep reads at delta (0,0) and
+    # seed 7 (shown beside each memo), so that no entry is evicted there
+    for cache, deep in ((q_ratio, 202), (q_factor, 61), (intertwine._s00, 5),
+                        (intertwine._genfun_side, 32), (exact.value_pair, 776),
+                        (gamma_half, 33), (wigner._c_pair, 140)):
+        assert cache.cache_info().maxsize == exact._KEPT > deep
 
 
 def test_closed_form_check_builds_each_factor_once():
